@@ -75,6 +75,29 @@ from repro.core.typing import (
 from repro.wifi.csi import CsiSweep
 
 
+def unsolvable_reason(products: ComplexCSI) -> str | None:
+    """Why one link's band products cannot be solved, or ``None``.
+
+    Two conditions fail both estimation methods (hybrid and ista) on a
+    row, whatever else shares its batch:
+
+    * a non-finite entry (NaN or Inf), as from a corrupted measurement;
+    * no signal power: the sum of ``|product|²`` is zero, as for a dead
+      radio's all-zero row, or a row so faint that the squares
+      underflow.  The deflation kernel drops links by the same sum.
+
+    The ranging service answers such links before its batched solve and
+    :meth:`BatchTofEngine.estimate_products_batch` rejects them at its
+    boundary, so both apply this one rule.  A row it passes can still
+    fail inside a kernel; the service's link-by-link retry covers those.
+    """
+    if not np.isfinite(products).all():
+        return "non-finite products (NaN or Inf)"
+    if np.vdot(products, products).real == 0.0:
+        return "no signal power (all products zero)"
+    return None
+
+
 class _WarmTelemetry:
     """Mutable per-call accumulator behind ``last_warm_stats``.
 
@@ -165,6 +188,11 @@ class BatchTofEngine:
 
         Returns:
             One :class:`TofEstimate` per row of ``channels``.
+
+        Raises:
+            ValueError: On malformed shapes, or before any kernel runs
+                when rows fail :func:`unsolvable_reason`; the message
+                names each such row and its reason.
         """
         freqs = np.asarray(frequencies_hz, dtype=float)
         stacked = np.asarray(channels, dtype=complex)
@@ -178,6 +206,16 @@ class BatchTofEngine:
                 f"{len(freqs)} frequencies were given"
             )
         n_links = stacked.shape[0]
+        unsolvable = [
+            f"row {i}: {reason}"
+            for i, row in enumerate(stacked)
+            if (reason := unsolvable_reason(row)) is not None
+        ]
+        if unsolvable:
+            raise ValueError(
+                f"{len(unsolvable)} of {n_links} rows cannot be solved: "
+                + "; ".join(unsolvable)
+            )
         cals = self._check_calibrations(calibrations, n_links)
         hint_list = ensure_hints(hints, n_links)
         telemetry = _WarmTelemetry()

@@ -3,7 +3,9 @@
 :class:`RangingService` is the serving-layer facade: callers submit a
 batch of per-link measurement requests (band products, as produced by
 the CSI front end), the service groups them by band plan, shards each
-group to bound per-solve memory, runs every shard through one
+group to bound per-solve memory, answers links whose products cannot be
+solved (non-finite, or no signal power) with a named error, runs the
+rest of every shard through one
 :class:`~repro.core.batch.BatchTofEngine` call, and returns per-link
 :class:`~repro.core.tof.TofEstimate` responses in request order.
 
@@ -22,7 +24,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.core.batch import BatchTofEngine
+from repro.core.batch import BatchTofEngine, unsolvable_reason
 from repro.core.cfo import LinkCalibration
 from repro.core.hints import SolveHint
 from repro.core.tof import TofEstimate, TofEstimatorConfig
@@ -47,9 +49,12 @@ ISOLATED_LINK_ERRORS = (ValueError, np.linalg.LinAlgError)
 One definition for every layer that retries link by link (this service's
 shards, the streaming front end's sweep flushes): when estimator
 internals surface a new failure type for bad CSI, widening this tuple
-fixes all of them at once.  ``LinAlgError`` is listed explicitly because
-the hybrid path's least-squares refits raise it on degenerate products
-(NaN/Inf CSI), and on older NumPy it is not a ``ValueError`` subclass.
+fixes all of them at once.  The service answers the failures it can
+foresee before solving (:func:`~repro.core.batch.unsolvable_reason`:
+non-finite or powerless products), so for product requests this is the
+backstop for the rest.  ``LinAlgError`` is listed explicitly because
+the hybrid path's least-squares refits can raise it on degenerate
+products, and on older NumPy it is not a ``ValueError`` subclass.
 """
 
 
@@ -145,10 +150,12 @@ class RangingRequest(LinkRequest):
 class RangingResponse:
     """The service's answer for one request.
 
-    ``estimate`` is ``None`` when this link's measurement was
-    unusable (e.g. all-zero products from a disassociated radio);
-    ``error`` then carries the estimator's reason.  One dead link
-    never poisons the rest of its batch.
+    ``estimate`` is ``None`` when this link's measurement was unusable;
+    ``error`` then says why.  Products the service screens out before
+    solving carry the screen's reason (non-finite products, or no
+    signal power as from a disassociated radio's all-zero row); a link
+    that failed inside the solve carries the estimator's message.  One
+    dead link never poisons the rest of its batch.
     """
 
     link_id: str
@@ -362,21 +369,45 @@ class RangingService:
             for lo in range(0, len(indices), self.max_shard_links):
                 shard = list(indices[lo : lo + self.max_shard_links])
                 n_shards += 1
-                try:
-                    shard_responses = self._solve_shard(requests, shard)
-                except ISOLATED_LINK_ERRORS:
-                    # One degenerate link inside the batched solve must
-                    # not take its shard down: retry link by link and
-                    # report the failures individually.
-                    REGISTRY.inc("service.isolated_retries_total", plan=label)
-                    shard_responses = [
-                        self._solve_one(requests[i]) for i in shard
-                    ]
-                for response in shard_responses:
+                for response in self._solve_screened(requests, shard, label):
                     responses.append(response)
                     if not response.ok:
                         n_failed += 1
         return responses, n_shards, n_failed
+
+    def _solve_screened(
+        self,
+        requests: Sequence[RangingRequest],
+        shard: Sequence[int],
+        label: str,
+    ) -> list[RangingResponse]:
+        """One shard's responses, in shard order.
+
+        Links whose products fail
+        :func:`~repro.core.batch.unsolvable_reason` are answered with
+        that reason, and the rest go to the engine in one batched call.
+        Should that call still raise, those links are retried one at a
+        time: the backstop for failures the screen cannot foresee,
+        counted by ``service.isolated_retries_total``.
+        """
+        by_index: dict[int, RangingResponse] = {}
+        solvable: list[int] = []
+        for i in shard:
+            reason = unsolvable_reason(requests[i].products)
+            if reason is None:
+                solvable.append(i)
+            else:
+                by_index[i] = RangingResponse(
+                    link_id=requests[i].link_id, estimate=None, error=reason
+                )
+        if solvable:
+            try:
+                solved = self._solve_shard(requests, solvable)
+            except ISOLATED_LINK_ERRORS:
+                REGISTRY.inc("service.isolated_retries_total", plan=label)
+                solved = [self._solve_one(requests[i]) for i in solvable]
+            by_index.update(zip(solvable, solved, strict=True))
+        return [by_index[i] for i in shard]
 
     def report(self) -> dict:
         """Observability snapshot: service config, stats + series.

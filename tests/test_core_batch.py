@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.batch import BatchTofEngine
+import repro.core.batch as batch_module
+from repro.core.batch import BatchTofEngine, unsolvable_reason
 from repro.core.cfo import LinkCalibration
 from repro.core.ndft import (
     capped_window_s,
@@ -182,6 +183,61 @@ class TestBatchEngineAgreement:
             engine.estimate_products_batch(FREQS_5G, np.ones(len(FREQS_5G)))
         with pytest.raises(ValueError):
             engine.estimate_products_batch(FREQS_5G, np.ones((2, 5)))
+
+
+def scaled_row(scale):
+    return scale * steering_vector(FREQS_5G, 60e-9)
+
+
+def with_entry(value):
+    row = steering_vector(FREQS_5G, 60e-9)
+    row[3] = value
+    return row
+
+
+class TestUnsolvableRows:
+    @pytest.mark.parametrize(
+        ("row", "reason"),
+        [
+            (np.zeros(len(FREQS_5G), dtype=complex), "no signal power"),
+            (with_entry(np.nan), "non-finite"),
+            (with_entry(np.inf), "non-finite"),
+            (with_entry(complex(0.0, -np.inf)), "non-finite"),
+            # The squares underflow: no power to any solver.
+            (scaled_row(1e-300), "no signal power"),
+            (scaled_row(1e-150), None),
+            (with_entry(0.0), None),
+            (steering_vector(FREQS_5G, 60e-9), None),
+        ],
+    )
+    def test_reason(self, row, reason):
+        got = unsolvable_reason(row)
+        if reason is None:
+            assert got is None
+        else:
+            assert reason in got
+
+    @pytest.mark.parametrize("method", ["ista", "hybrid"])
+    def test_engine_names_rows_before_any_kernel(self, rng, method, monkeypatch):
+        """Unsolvable rows fail at the engine boundary with their index
+        and reason, before extraction or FISTA touch the stack."""
+
+        def kernel(*args, **kwargs):
+            raise AssertionError("a kernel ran on an unsolvable stack")
+
+        monkeypatch.setattr(batch_module, "extract_paths_batch", kernel)
+        monkeypatch.setattr(batch_module, "invert_ndft_batch", kernel)
+        engine = BatchTofEngine(
+            TofEstimatorConfig(method=method, quirk_2g4=False, compute_profile=False)
+        )
+        H = random_links(rng, 4)
+        H[1] = 0.0
+        H[3, 5] = np.inf
+        with pytest.raises(
+            ValueError,
+            match=r"2 of 4 rows .*row 1: no signal power.*row 3: non-finite",
+        ):
+            engine.estimate_products_batch(FREQS_5G, H)
 
 
 class TestHybridBatchEquivalence:

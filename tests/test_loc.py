@@ -16,6 +16,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.core.batch import BatchTofEngine
 from repro.core.localization import (
     locate_transmitter,
 )
@@ -33,9 +34,11 @@ from repro.loc import (
     PositionTrackerBank,
     PositionTrackerConfig,
 )
-from repro.net.service import RangingRequest
+from repro.net.service import RangingRequest, RangingService, plan_label
+from repro.obs import REGISTRY
 from repro.rf.constants import SPEED_OF_LIGHT
 from repro.rf.geometry import Point
+from repro.stream import StreamingRangingService
 from repro.wifi.bands import US_BAND_PLAN
 
 FREQS = US_BAND_PLAN.subset_5g().decimate(2).center_frequencies_hz
@@ -338,6 +341,60 @@ class TestLocalizationService:
         assert bad.used_anchors == (0, 2, 3)
         assert math.isnan(bad.distances_m[1])
         assert bad.position.distance_to(bad_pos) < 0.3
+
+    def test_dead_anchor_screened_out_of_the_tick_solve(
+        self, rng, make_loc_service
+    ):
+        """A tick whose clients include one with an all-zero anchor row
+        reaches the engine as one call over the other links, with no
+        link-by-link retry; that client still gets a fix from its other
+        anchors and the dead anchor's error names the reason."""
+        calls: list[int] = []
+
+        class CountingEngine(BatchTofEngine):
+            def estimate_products_batch(self, frequencies_hz, channels, *args, **kwargs):
+                calls.append(len(channels))
+                return super().estimate_products_batch(
+                    frequencies_hz, channels, *args, **kwargs
+                )
+
+        ranging = StreamingRangingService(
+            service=RangingService(engine=CountingEngine(FAST_CONFIG))
+        )
+        service = make_loc_service(ANCHORS, ranging=ranging)
+        truths = {
+            f"c{i}": Point(rng.uniform(1, 9), rng.uniform(1, 7))
+            for i in range(4)
+        }
+        requests = {}
+        for cid, pos in truths.items():
+            rows = anchor_products(pos, ANCHORS, rng)
+            if cid == "c2":
+                rows[1] = np.zeros(len(FREQS), dtype=complex)
+            requests[cid] = [
+                RangingRequest(f"{cid}:{k}", FREQS, h) for k, h in enumerate(rows)
+            ]
+        label = plan_label(RangingService.plan_key(requests["c0"][0]))
+        retries_before = REGISTRY.value("service.isolated_retries_total", plan=label)
+
+        async def run():
+            return await asyncio.gather(
+                *(service.locate(cid, reqs) for cid, reqs in requests.items())
+            )
+
+        fixes = {fix.client_id: fix for fix in asyncio.run(run())}
+        assert calls == [4 * len(ANCHORS) - 1]
+        assert service.ranging.stats.n_flushes == 1
+        assert (
+            REGISTRY.value("service.isolated_retries_total", plan=label)
+            == retries_before
+        )
+        assert all(fix.ok for fix in fixes.values())
+        dead = fixes["c2"]
+        assert dead.n_anchors_ok == 3
+        assert "no signal power" in dead.anchor_errors[1]
+        assert dead.used_anchors == (0, 2, 3)
+        assert dead.position.distance_to(truths["c2"]) < 0.3
 
     def test_too_few_anchors_fails_with_error(self, rng, make_loc_service):
         service = make_loc_service(ANCHORS, config=FAST_CONFIG)

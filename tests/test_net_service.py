@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.core.batch import BatchTofEngine, unsolvable_reason
 from repro.core.cfo import LinkCalibration
 from repro.core.ndft import steering_vector
 from repro.core.sparse import SparseSolverConfig
 from repro.core.tof import TofEstimator, TofEstimatorConfig
-from repro.net.service import RangingRequest, RangingService
+from repro.net.service import RangingRequest, RangingService, plan_label
+from repro.obs import REGISTRY
 from repro.wifi.bands import US_BAND_PLAN
 
 FREQS_5G = US_BAND_PLAN.subset_5g().center_frequencies_hz
@@ -23,6 +25,25 @@ FAST_CONFIG = TofEstimatorConfig(
 def one_link(rng, freqs, tau=30e-9):
     h = steering_vector(freqs, 2 * tau) + 0.4 * steering_vector(freqs, 2 * tau + 25e-9)
     return h + 0.01 * (rng.normal(size=len(freqs)) + 1j * rng.normal(size=len(freqs)))
+
+
+class RecordingEngine(BatchTofEngine):
+    """Keeps a copy of the stack every batched call receives."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.calls: list[np.ndarray] = []
+
+    def estimate_products_batch(self, frequencies_hz, channels, *args, **kwargs):
+        self.calls.append(np.array(channels))
+        return super().estimate_products_batch(
+            frequencies_hz, channels, *args, **kwargs
+        )
+
+
+def isolated_retries(request):
+    label = plan_label(RangingService.plan_key(request))
+    return REGISTRY.value("service.isolated_retries_total", plan=label)
 
 
 class TestRangingRequest:
@@ -187,3 +208,99 @@ class TestRangingService:
         with pytest.raises(ValueError):
             responses[1].distance_m
         assert service.last_stats.n_failed == 1
+
+
+class TestUnsolvableScreen:
+    """Links that cannot be solved are answered before the batched solve."""
+
+    def test_screened_links_skip_the_batched_solve(self, rng):
+        """One all-zero and one NaN row: one engine call carrying the
+        other rows, no link-by-link retry, request order kept, named
+        reasons, and the other links' ToF bit-identical to submitting
+        them alone."""
+        engine = RecordingEngine(FAST_CONFIG)
+        service = RangingService(engine=engine)
+        poisoned = one_link(rng, FREQS_5G)
+        poisoned[4] = np.nan
+        requests = [
+            RangingRequest("alive-1", FREQS_5G, one_link(rng, FREQS_5G, 20e-9)),
+            RangingRequest("dead", FREQS_5G, np.zeros(len(FREQS_5G))),
+            RangingRequest("alive-2", FREQS_5G, one_link(rng, FREQS_5G, 35e-9)),
+            RangingRequest("poisoned", FREQS_5G, poisoned),
+            RangingRequest("alive-3", FREQS_5G, one_link(rng, FREQS_5G, 50e-9)),
+        ]
+        alive = [requests[i] for i in (0, 2, 4)]
+        retries_before = isolated_retries(requests[0])
+
+        responses = service.submit(requests)
+
+        assert len(engine.calls) == 1
+        np.testing.assert_array_equal(
+            engine.calls[0], np.vstack([r.products for r in alive])
+        )
+        assert isolated_retries(requests[0]) == retries_before
+        assert [r.link_id for r in responses] == [r.link_id for r in requests]
+        assert "no signal power" in responses[1].error
+        assert "non-finite" in responses[3].error
+        assert not responses[1].ok and not responses[3].ok
+        assert service.last_stats.n_shards == 1
+        assert service.last_stats.n_failed == 2
+        alone = RangingService(FAST_CONFIG).submit(alive)
+        for got, want in zip([responses[i] for i in (0, 2, 4)], alone, strict=True):
+            assert got.ok
+            assert got.estimate.tof_s == want.estimate.tof_s
+
+    def test_fully_screened_shard_still_counts(self, rng):
+        """A shard whose links are all screened makes no engine call
+        but still counts as a shard, and its failures count too."""
+        engine = RecordingEngine(FAST_CONFIG)
+        service = RangingService(engine=engine, max_shard_links=2)
+        responses = service.submit(
+            [
+                RangingRequest("dead-1", FREQS_5G, np.zeros(len(FREQS_5G))),
+                RangingRequest("dead-2", FREQS_5G, np.full(len(FREQS_5G), np.inf)),
+                RangingRequest("alive", FREQS_5G, one_link(rng, FREQS_5G)),
+            ]
+        )
+        assert [r.ok for r in responses] == [False, False, True]
+        assert [len(stack) for stack in engine.calls] == [1]
+        assert service.last_stats.n_shards == 2
+        assert service.last_stats.n_failed == 2
+
+    def test_unforeseen_failure_retries_link_by_link(self, rng):
+        """The backstop: an engine that raises on a finite, powered row
+        still gets its shard retried one link at a time, and the retry
+        counter moves."""
+        trap = one_link(rng, FREQS_5G, 40e-9)
+        assert unsolvable_reason(trap) is None
+
+        class TrapEngine(RecordingEngine):
+            def estimate_products_batch(self, frequencies_hz, channels, *args, **kwargs):
+                if any(np.array_equal(row, trap) for row in channels):
+                    self.calls.append(np.array(channels))
+                    raise ValueError("injected kernel failure")
+                return super().estimate_products_batch(
+                    frequencies_hz, channels, *args, **kwargs
+                )
+
+        engine = TrapEngine(FAST_CONFIG)
+        service = RangingService(engine=engine)
+        requests = [
+            RangingRequest("alive-1", FREQS_5G, one_link(rng, FREQS_5G, 20e-9)),
+            RangingRequest("trap", FREQS_5G, trap),
+            RangingRequest("dead", FREQS_5G, np.zeros(len(FREQS_5G))),
+            RangingRequest("alive-2", FREQS_5G, one_link(rng, FREQS_5G, 50e-9)),
+        ]
+        retries_before = isolated_retries(requests[0])
+
+        responses = service.submit(requests)
+
+        assert isolated_retries(requests[0]) == retries_before + 1
+        # The batched try over the three unscreened rows, then one call
+        # per unscreened link.
+        assert [len(stack) for stack in engine.calls] == [3, 1, 1, 1]
+        assert [r.link_id for r in responses] == [r.link_id for r in requests]
+        assert [r.ok for r in responses] == [True, False, False, True]
+        assert responses[1].error == "injected kernel failure"
+        assert "no signal power" in responses[2].error
+        assert service.last_stats.n_failed == 2

@@ -409,6 +409,12 @@ class BatchTofEngine:
                 buckets=COUNT_BUCKETS,
                 method=method,
             )
+        # COUNT_BUCKETS tops out below the default cap, so a solve that
+        # ran out of iterations is invisible in the histogram alone.
+        cap = self.config.sparse.max_iterations
+        n_capped = sum(1 for n in stats.fista_iterations if n >= cap)
+        if n_capped:
+            REGISTRY.inc("engine.fista_cap_hits_total", n_capped, method=method)
         self.last_warm_stats = stats
 
     def _estimate_group_stack(

@@ -2,19 +2,24 @@
 
 The inverse-NDFT problem is under-determined (n ≈ 35 measurements,
 m ≈ hundreds of candidate delays).  The paper regularizes it with an L1
-penalty (Eqn. 10):
+penalty (Eqn. 10), which we write in the standard LASSO scaling:
 
-    min_p  || h - F p ||_2^2  +  alpha * || p ||_1
+    min_p  ½ || h - F p ||_2^2  +  alpha * || p ||_1
 
-and solves it with a proximal-gradient iteration whose proximal operator
-is complex soft-thresholding — the paper's SPARSIFY function.  We
-implement exactly that (ISTA), plus optional FISTA acceleration (same
-fixed point, fewer iterations), with the paper's step size
-``gamma = 1 / ||F||^2`` and its ``||p_{t+1} - p_t|| < eps`` stop rule.
+so ``alpha`` here is half the paper's weight (same minimizer).  The
+solver is a proximal-gradient iteration whose proximal operator is
+complex soft-thresholding — the paper's SPARSIFY function — with the
+paper's step size ``gamma = 1 / ||F||^2`` and its
+``||p_{t+1} - p_t|| < eps`` stop rule.  Plain ISTA is available; the
+default adds FISTA momentum (same fixed point, far fewer iterations)
+with per-link gradient-scheme adaptive restart (O'Donoghue & Candès,
+2015), tested on the stop rule's cadence for links whose support is
+smaller than the band count.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,6 +33,7 @@ from repro.core.typing import (
     ComplexProfile,
     ComplexProfileStack,
     DelayVector,
+    FloatVector,
     FrequencyVector,
     IndexVector,
 )
@@ -44,13 +50,19 @@ class SparseSolverConfig:
         max_iterations: Hard iteration cap.
         tolerance_rel: Stop when the iterate moves less than this fraction
             of its own norm (the paper's epsilon, made scale-free).
-        accelerated: Use FISTA momentum (same solution, ~10x faster).
-        check_every: Iterations between convergence tests.  Testing is
-            two full reductions per active link, a measurable share of
-            an iteration's cost; checking every few iterations trades at
-            most ``check_every - 1`` extra (convergent) iterations per
-            link for that overhead.  Applies identically to the scalar
-            and batched solvers, which share the kernel.
+        accelerated: Use FISTA momentum with per-link adaptive
+            restart (same solution as plain ISTA, far fewer
+            iterations).  A link restarts its momentum when the last
+            step went uphill, ``Re⟨y - p_next, p_next - p⟩ > 0``, but
+            only while its support is smaller than the band count;
+            a link with a wider support runs plain FISTA.
+        check_every: Iterations between convergence tests, which are
+            also the only iterations that test for a restart.  Testing
+            is a few full reductions per active link, a measurable
+            share of an iteration's cost; checking every few iterations
+            trades at most ``check_every - 1`` extra (convergent)
+            iterations per link for that overhead.  Applies identically
+            to the scalar and batched solvers, which share the kernel.
     """
 
     alpha_rel: float = 0.08
@@ -102,7 +114,7 @@ def invert_ndft(
     config: SparseSolverConfig | None = None,
     operator: NdftOperator | None = None,
 ) -> ComplexProfile:
-    """Solve ``min ||h - F p||² + α||p||₁`` for the delay profile ``p``.
+    """Solve ``min ½||h - F p||² + α||p||₁`` for the delay profile ``p``.
 
     The scalar entry point is the ``N = 1`` case of
     :func:`invert_ndft_batch`; the Fourier matrix and its Lipschitz
@@ -141,24 +153,27 @@ def invert_ndft_batch(
 ) -> ComplexProfileStack:
     """Algorithm 1 for a stack of links sharing one frequency set.
 
-    Solves ``min ||h_i - F p_i||² + α_i ||p_i||₁`` for every row ``h_i``
-    of ``channels`` in one vectorized FISTA run: the per-iteration
-    matrix products become single GEMMs over all still-active links,
-    which is where the batched engine's throughput comes from.
+    Solves ``min ½||h_i - F p_i||² + α_i ||p_i||₁`` for every row
+    ``h_i`` of ``channels`` in one vectorized FISTA run: the
+    per-iteration matrix products become single GEMMs over all
+    still-active links, which is where the batched engine's throughput
+    comes from.
 
     Per-link semantics match the scalar solver exactly: each link gets
-    its own ``α_i`` (relative to its ``||Fᴴh_i||_inf``) and its own stop
-    test, and a link that converges is *frozen* at that iterate while
-    the rest keep iterating — the same trajectory the scalar loop would
-    have produced for it, just computed in lockstep.
+    its own ``α_i`` (relative to its ``||Fᴴh_i||_inf``), its own stop
+    test and its own momentum age, which a restart resets (see
+    :class:`SparseSolverConfig`).  A link that converges is *frozen* at
+    that iterate while the rest keep iterating — the same trajectory
+    the scalar loop would have produced for it, just computed in
+    lockstep.
 
     Warm starts: a non-zero row of ``initial`` seeds that link's
     iterate (a temporal prior from the link's previous solve) and opts
     the link into *extra* convergence tests on the iterations between
     regular checks, so an already-converged seed freezes after a single
     step instead of riding out the check cadence.  All-zero rows are
-    exactly the cold start: every GEMM, threshold and stop test here is
-    column-independent, so cold links in a mixed batch follow the cold
+    exactly the cold start: every GEMM, threshold, restart and stop test
+    here is link-independent, so cold links in a mixed batch follow the cold
     trajectory bit for bit, and a warm link behaves identically whether
     solved alone or stacked with cold ones.
 
@@ -172,7 +187,8 @@ def invert_ndft_batch(
             all-zero rows start cold.
         iterations_out: Optional int array of length ``n_links``;
             filled with the iteration at which each link froze (0 for
-            links whose channel is exactly zero).
+            links whose threshold ``γα_i`` is zero, such as an all-zero
+            channel; those get the zero profile).
 
     Returns:
         ``(n_links, len(taus_s))`` complex profiles, row ``i`` for link ``i``.
@@ -202,13 +218,17 @@ def invert_ndft_batch(
             "operator was built for different frequencies or delay grid"
         )
     F = op.F
-    Fh = op.adjoint
     # Step size: gamma = 1 / ||F||^2 (largest singular value squared), as
-    # in Algorithm 1; this is the Lipschitz constant of the smooth term's
-    # gradient up to the factor 2 absorbed into the residual definition.
+    # in Algorithm 1: the Lipschitz constant of the smooth term's
+    # gradient Fᴴ(Fp - h).  Links are rows here, so the gradient step
+    # of a row p is p - γ (p Fᵀ - h) F̄; folding -γ into F̄ once per call
+    # makes it one GEMM and one add.
     gamma = 1.0 / op.lipschitz
+    F_conj = F.conj()
+    step_adjoint = F_conj * -gamma
 
     n_links = H_rows.shape[0]
+    n_bands = len(freqs)
     m = len(taus)
     if initial is not None:
         initial = np.asarray(initial, dtype=complex)
@@ -225,114 +245,176 @@ def invert_ndft_batch(
             )
         iterations_out[:] = 0
     out = np.zeros((n_links, m), dtype=complex)
-    H = np.ascontiguousarray(H_rows.T)  # (n, N): links as columns
-    correlation = np.abs(Fh @ H)  # (m, N)
-    alphas = cfg.alpha_rel * correlation.max(axis=0)
-    active = np.flatnonzero(alphas > 0.0)
+    correlation = np.abs(H_rows @ F_conj)  # (N, m): |Fᴴh| per link
+    thresholds = gamma * (cfg.alpha_rel * correlation.max(axis=1))
+    # A link whose threshold γα is zero (an all-zero channel, or one so
+    # small that γα underflows) stays inactive and returns the zero
+    # profile: its shrink factor thr / max(|z|, thr) would be 0/0.
+    active = np.flatnonzero(thresholds > 0.0)
     if active.size == 0:
         return out
 
-    H_a = np.ascontiguousarray(H[:, active])
-    thr = gamma * alphas[active]
+    H_a = np.ascontiguousarray(H_rows[active])
+    thr = thresholds[active, None]
     tol2 = cfg.tolerance_rel**2
     n_active = active.size
     if initial is not None:
-        P = np.ascontiguousarray(initial[active].T)
-        warm = np.any(P != 0.0, axis=0)
+        P = np.ascontiguousarray(initial[active])
+        warm = np.any(P != 0.0, axis=1)
     else:
-        P = np.zeros((m, n_active), dtype=complex)
+        P = np.zeros((n_active, m), dtype=complex)
         warm = np.zeros(n_active, dtype=bool)
-    momentum = P
-    t_k = 1.0
-    # Scratch buffers (re-sliced when converged columns are retired):
+    # Per-link FISTA state: the extrapolated point y (plain ISTA steps
+    # from P instead) and the momentum age indexing the shared weight
+    # table.  A link that never restarts has age ``iteration - 1``: the
+    # plain FISTA sequence.
+    Y = P.copy()
+    age = np.zeros(n_active, dtype=np.intp)
+    weights = _momentum_weights(cfg.max_iterations)
+    # Scratch buffers (re-sliced when converged links are retired):
     # every per-iteration op below writes into one of these, so the hot
-    # loop allocates nothing but the thresholding temporaries.
-    residual = np.empty((len(freqs), n_active), dtype=complex)
-    grad = np.empty((m, n_active), dtype=complex)
+    # loop allocates nothing per iteration but small per-link vectors.
+    residual = np.empty((n_active, n_bands), dtype=complex)
+    Z = np.empty((n_active, m), dtype=complex)
+    diff = np.empty((n_active, m), dtype=complex)
+    shrink = np.empty((n_active, m))
     for iteration in range(1, cfg.max_iterations + 1):
-        base = momentum if cfg.accelerated else P
-        np.dot(F, base, out=residual)
+        base = Y if cfg.accelerated else P
+        np.dot(base, F.T, out=residual)
         np.subtract(residual, H_a, out=residual)
-        np.dot(Fh, residual, out=grad)
-        np.multiply(grad, -gamma, out=grad)
-        np.add(grad, base, out=grad)
-        P_next = _soft_threshold_columns(grad, thr)
-        diff = P_next - P
+        np.dot(residual, step_adjoint, out=Z)
+        np.add(Z, base, out=Z)
+        _soft_threshold_rows(Z, thr, shrink)  # Z is now p_next
+        np.subtract(Z, P, out=diff)
         check = iteration % cfg.check_every == 0 or iteration == cfg.max_iterations
         done: BoolMask | None = None
         if check:
             # The scalar stop rule ``||Δp|| < tol·||p||`` compared in
-            # squares (one fused reduction per column, no square roots).
-            step2 = np.einsum("ij,ij->j", diff, diff.conj()).real
-            scale2 = np.maximum(
-                np.einsum("ij,ij->j", P_next, P_next.conj()).real, 1e-60
-            )
+            # squares (one fused reduction per link, no square roots).
+            step2 = _row_dots(diff, diff)
+            scale2 = np.maximum(_row_dots(Z, Z), 1e-60)
             done = step2 < tol2 * scale2
+            if cfg.accelerated:
+                _restart_rows(Y, Z, diff, age, n_bands)
         elif warm.any():
-            # Off-cadence stop test for warm columns only: a seed that
+            # Off-cadence stop test for warm links only: a seed that
             # arrives converged should freeze at iteration 1, not wait
-            # out check_every.  Cold columns are never tested (let
-            # alone frozen) here, preserving their cold trajectory.
+            # out check_every.  Cold links are never tested (let alone
+            # frozen) here, preserving their cold trajectory.
             w = np.flatnonzero(warm)
-            dw = diff[:, w]
-            pw = P_next[:, w]
-            step2_w = np.einsum("ij,ij->j", dw, dw.conj()).real
-            scale2_w = np.maximum(
-                np.einsum("ij,ij->j", pw, pw.conj()).real, 1e-60
-            )
+            dw = diff[w]
+            pw = Z[w]
+            step2_w = _row_dots(dw, dw)
+            scale2_w = np.maximum(_row_dots(pw, pw), 1e-60)
             done = np.zeros(active.size, dtype=bool)
             done[w[step2_w < tol2 * scale2_w]] = True
         if cfg.accelerated:
-            t_next = (1.0 + np.sqrt(1.0 + 4.0 * t_k**2)) / 2.0
-            np.multiply(diff, (t_k - 1.0) / t_next, out=diff)
-            np.add(P_next, diff, out=diff)
-            momentum = diff
-            t_k = t_next
-        P = P_next
+            np.multiply(diff, weights[age][:, None], out=diff)
+            np.add(Z, diff, out=Y)
+            age += 1
+        P, Z = Z, P  # the old iterate's buffer is the next step's scratch
         if done is None:
             continue
         if done.any():
-            out[active[done]] = P[:, done].T
+            out[active[done]] = P[done]
             if iterations_out is not None:
                 iterations_out[active[done]] = iteration
             keep = ~done
             active = active[keep]
             if active.size == 0:
                 return out
-            P = np.ascontiguousarray(P[:, keep])
-            H_a = np.ascontiguousarray(H_a[:, keep])
+            P = P[keep]
+            Y = Y[keep]
+            H_a = H_a[keep]
             thr = thr[keep]
             warm = warm[keep]
-            if cfg.accelerated:
-                momentum = np.ascontiguousarray(momentum[:, keep])
-            residual = np.empty((len(freqs), active.size), dtype=complex)
-            grad = np.empty((m, active.size), dtype=complex)
-    out[active] = P.T
+            age = age[keep]
+            residual = np.empty((active.size, n_bands), dtype=complex)
+            Z = np.empty((active.size, m), dtype=complex)
+            diff = np.empty((active.size, m), dtype=complex)
+            shrink = np.empty((active.size, m))
+    out[active] = P
     if iterations_out is not None:
         iterations_out[active] = cfg.max_iterations
     return out
 
 
-def _soft_threshold_columns(P: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """Column-wise complex soft-thresholding (``thresholds[j]`` per column).
+@functools.lru_cache(maxsize=8)
+def _momentum_weights(n: int) -> FloatVector:
+    """FISTA's momentum weights ``(t_a - 1) / t_{a+1}`` for ages ``0..n-1``.
 
-    Same shrinkage map as :func:`soft_threshold`, expressed as
-    whole-array operations with a real (not complex) division because
-    this runs once per FISTA iteration on the full batch: entries at or
-    below the threshold get a zero ratio, and the subnormal clamp on
-    the denominator keeps 0/0 out without a data-dependent branch.
+    ``t_0 = 1`` and ``t_{a+1} = (1 + sqrt(1 + 4 t_a²)) / 2``, evaluated
+    in exactly the scalar recurrence's order, so a link whose age
+    equals ``iteration - 1`` gets the plain FISTA weights bit for bit.
+    Age 0 gives weight 0: a restart's first step carries no momentum.
     """
-    # sqrt(re² + im²) instead of np.abs: the hypot ufunc's overflow
-    # guards cost ~2x on arrays this size, and profile entries are
-    # nowhere near the overflow range.
-    mags = P.real * P.real
-    mags += P.imag * P.imag
-    np.sqrt(mags, out=mags)
-    shrink = mags - np.asarray(thresholds, dtype=float)
-    np.maximum(shrink, 0.0, out=shrink)
-    np.maximum(mags, 1e-300, out=mags)
-    np.divide(shrink, mags, out=shrink)
-    return P * shrink
+    weights = np.empty(n)
+    t_k = 1.0
+    for age in range(n):
+        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t_k**2)) / 2.0
+        weights[age] = (t_k - 1.0) / t_next
+        t_k = t_next
+    weights.setflags(write=False)
+    return weights
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> FloatVector:
+    """Per-row ``Re⟨a_i, b_i⟩`` of two C-contiguous complex blocks.
+
+    Reduces the interleaved real views, so the real part of the inner
+    product costs one fused real reduction and no conjugate copy.
+    """
+    return np.einsum("ij,ij->i", a.view(np.float64), b.view(np.float64))
+
+
+def _restart_rows(
+    Y: np.ndarray,
+    P_next: np.ndarray,
+    diff: np.ndarray,
+    age: np.ndarray,
+    n_bands: int,
+) -> None:
+    """Gradient-scheme adaptive restart, one decision per link (row).
+
+    O'Donoghue & Candès (2015): momentum that carries the iterate
+    uphill, ``Re⟨y - p_next, p_next - p⟩ > 0``, is dropped by resetting
+    the link's age to 0.  Only links whose support (the nonzeros of
+    ``p_next``) is smaller than the band count may restart: there the
+    LASSO restricted to the support is strongly convex and restarted
+    FISTA converges linearly.  The 11-band 2.4 GHz group's profiles
+    carry a few dozen atoms, and there ungated restarts made the
+    step-size stop rule fire farther from the optimum.
+
+    Overwrites ``Y`` (it is rebuilt from ``p_next`` right after) and
+    updates ``age`` in place.
+    """
+    gated = np.count_nonzero(P_next, axis=1) < n_bands
+    if not gated.any():
+        return
+    np.subtract(Y, P_next, out=Y)
+    age[gated & (_row_dots(Y, diff) > 0.0)] = 0
+
+
+def _soft_threshold_rows(
+    Z: np.ndarray, thresholds: np.ndarray, shrink: np.ndarray
+) -> None:
+    """Row-wise complex soft-thresholding of ``Z`` in place.
+
+    Same shrinkage map as :func:`soft_threshold` (``thresholds[i, 0]``
+    for row ``i``), written as the factor ``1 - t / max(|z|, t)``: it is
+    0 at or below the threshold and ``(|z| - t) / |z|`` above it, with
+    no data-dependent branch.  Every threshold must be positive (the
+    caller keeps zero-threshold links out), so the division never sees
+    0/0.  ``shrink`` is a real scratch block shaped like ``Z``.
+    """
+    # np.abs rather than sqrt(re² + im²): on numpy 2.4 over a 64 x 399
+    # complex block it is about 3x faster than forming re² + im² and
+    # taking the square root (about 45 µs against 150 µs).
+    np.abs(Z, out=shrink)
+    np.maximum(shrink, thresholds, out=shrink)
+    np.divide(thresholds, shrink, out=shrink)
+    np.subtract(1.0, shrink, out=shrink)
+    np.multiply(Z, shrink, out=Z)
 
 
 def lasso_objective(
@@ -342,7 +424,14 @@ def lasso_objective(
     taus_s: DelayVector | Sequence[float],
     alpha: float,
 ) -> float:
-    """Evaluate the Eqn. 10 objective — used by convergence tests."""
+    """The objective the solver minimizes, ``½||h - F p||² + α||p||₁``.
+
+    This is Eqn. 10 in the LASSO scaling of the module docstring, with
+    ``alpha`` half the paper's weight; pass the same ``α`` the solver
+    uses (``alpha_rel · ||Fᴴh||_inf``).  Used by convergence tests.
+    """
     F = ndft_matrix(np.asarray(frequencies_hz, float), np.asarray(taus_s, float))
     residual = np.asarray(channels, complex) - F @ np.asarray(p, complex)
-    return float(np.sum(np.abs(residual) ** 2) + alpha * np.sum(np.abs(p)))
+    return float(
+        0.5 * np.sum(np.abs(residual) ** 2) + alpha * np.sum(np.abs(p))
+    )

@@ -122,6 +122,92 @@ class TestBatchSolver:
             scalar = invert_ndft(H[i], FREQS_5G, grid, cfg)
             np.testing.assert_allclose(batch[i], scalar, rtol=0, atol=1e-10)
 
+    def test_restart_state_is_per_link(self, rng):
+        """A link's solve ignores what its neighbours do.
+
+        Momentum age, restarts and stop tests are per link, so the
+        first link gets the same profile and iteration count alone as
+        stacked with links on their own restart schedules, an all-zero
+        row and a warm-seeded row.
+        """
+        H = random_links(rng, 4)
+        grid = tau_grid(200e-9, 0.5e-9)
+        alone_iterations = np.zeros(1, dtype=np.int64)
+        alone = invert_ndft_batch(
+            H[:1], FREQS_5G, grid, iterations_out=alone_iterations
+        )
+        stack = np.vstack([H[:3], np.zeros(len(FREQS_5G)), H[3:]])
+        initial = np.zeros((len(stack), len(grid)), dtype=complex)
+        initial[4] = 0.9 * invert_ndft(H[3], FREQS_5G, grid)
+        iterations = np.zeros(len(stack), dtype=np.int64)
+        out = invert_ndft_batch(
+            stack, FREQS_5G, grid, initial=initial, iterations_out=iterations
+        )
+        np.testing.assert_allclose(out[0], alone[0], rtol=0, atol=1e-10)
+        assert iterations[0] == alone_iterations[0]
+        assert len(set(iterations[:3].tolist())) > 1
+        assert np.all(out[3] == 0) and iterations[3] == 0
+
+    def test_row_permutation_permutes_output(self, rng):
+        H = random_links(rng, 6)
+        grid = tau_grid(200e-9, 0.5e-9)
+        perm = rng.permutation(len(H))
+        iterations = np.zeros(len(H), dtype=np.int64)
+        permuted_iterations = np.zeros(len(H), dtype=np.int64)
+        out = invert_ndft_batch(H, FREQS_5G, grid, iterations_out=iterations)
+        permuted = invert_ndft_batch(
+            H[perm], FREQS_5G, grid, iterations_out=permuted_iterations
+        )
+        np.testing.assert_allclose(permuted, out[perm], rtol=0, atol=1e-10)
+        np.testing.assert_array_equal(permuted_iterations, iterations[perm])
+
+    def test_wide_support_link_runs_plain_fista(self):
+        """The support gate: no restart while the support is >= the
+        band count.
+
+        An 11-band 2.4 GHz link whose support never drops below 11
+        must follow plain FISTA (written out here, with the same step,
+        threshold, stop rule and check cadence) to the same iteration.
+        """
+        freqs = US_BAND_PLAN.subset_2g4().center_frequencies_hz
+        op = get_grid_operator(freqs, capped_window_s(freqs, 500e-9), 0.5e-9)
+        gen = np.random.default_rng(7)
+        delays = gen.uniform(0.0, 180e-9, 8)
+        amps = gen.uniform(0.2, 1.0, 8) * np.exp(1j * gen.uniform(-np.pi, np.pi, 8))
+        h = sum(a * steering_vector(freqs, d) for a, d in zip(amps, delays, strict=True))
+        h = h + 0.1 * (gen.normal(size=len(freqs)) + 1j * gen.normal(size=len(freqs)))
+        cfg = SparseSolverConfig(max_iterations=20000)
+
+        gamma = 1.0 / op.lipschitz
+        thr = gamma * cfg.alpha_rel * np.abs(op.adjoint @ h).max()
+        p = np.zeros(len(op.taus_s), dtype=complex)
+        y, t_k = p, 1.0
+        supports = []
+        for ref_iterations in range(1, cfg.max_iterations + 1):
+            z = y - gamma * (op.adjoint @ (op.F @ y - h))
+            mags = np.abs(z)
+            p_next = np.where(mags > thr, z * (mags - thr) / np.maximum(mags, thr), 0)
+            if ref_iterations % cfg.check_every == 0:
+                supports.append(np.count_nonzero(p_next))
+                step = p_next - p
+                if np.vdot(step, step).real < (
+                    cfg.tolerance_rel**2 * np.vdot(p_next, p_next).real
+                ):
+                    break
+            t_next = (1.0 + np.sqrt(1.0 + 4.0 * t_k**2)) / 2.0
+            y = p_next + ((t_k - 1.0) / t_next) * (p_next - p)
+            p, t_k = p_next, t_next
+        assert ref_iterations < cfg.max_iterations  # converged, not capped
+        assert min(supports) >= len(freqs)
+
+        iterations = np.zeros(1, dtype=np.int64)
+        out = invert_ndft_batch(
+            h[None, :], freqs, op.taus_s, cfg, operator=op,
+            iterations_out=iterations,
+        )
+        assert iterations[0] == ref_iterations
+        assert np.abs(out[0] - p_next).max() <= 1e-9 * np.abs(p_next).max()
+
     def test_zero_link_row_stays_zero(self, rng):
         H = random_links(rng, 2)
         H[1] = 0.0

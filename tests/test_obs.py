@@ -328,6 +328,21 @@ class TestPerCallTelemetry:
         # And the registry accumulated the fold.
         assert REGISTRY.value("engine.links_cold_total", method="hybrid") == 2.0
 
+    def test_engine_counts_fista_cap_hits(self, rng):
+        """Solves that stop at max_iterations are counted, not hidden in
+        the iteration histogram's overflow bucket."""
+        links = np.vstack([one_link(rng, FREQS), one_link(rng, FREQS, 40e-9)])
+        converging = TofEstimatorConfig(method="ista", quirk_2g4=False)
+        BatchTofEngine(converging).estimate_products_batch(FREQS, links)
+        assert "engine.fista_cap_hits_total" not in REGISTRY.snapshot()
+        capped = TofEstimatorConfig(
+            method="ista",
+            quirk_2g4=False,
+            sparse=SparseSolverConfig(max_iterations=3),
+        )
+        BatchTofEngine(capped).estimate_products_batch(FREQS, links)
+        assert REGISTRY.value("engine.fista_cap_hits_total", method="ista") == 2.0
+
     def test_service_returns_stats_per_call(self, rng):
         service = RangingService(FAST_CONFIG)
         requests = [

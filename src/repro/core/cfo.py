@@ -17,12 +17,13 @@ roles between a packet and its ACK: the offsets are equal and opposite
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from repro.core.interpolation import zero_subcarrier_product
+from repro.core.interpolation import zero_subcarrier_products
 from repro.core.typing import ComplexCSI, FrequencyVector
 from repro.wifi.bands import Band
 from repro.wifi.csi import CsiSweep
@@ -37,11 +38,15 @@ def band_products(
 ) -> tuple[FrequencyVector, ComplexCSI]:
     """Per-band averaged reciprocity products at subcarrier 0.
 
-    For every band in the sweep (optionally filtered), interpolates each
-    packet pair to subcarrier 0, multiplies forward × reverse, and
-    averages the products across the packets exchanged during that
-    band's dwell — the §7 packet-averaging that suppresses residual-CFO
-    error.
+    The selected part of the sweep runs as one stacked pass
+    (:func:`~repro.core.interpolation.zero_subcarrier_products`): every
+    (band, packet, direction) CSI row goes into one
+    ``(2·n_packets, k)`` array, which gets one power, one phase-slope
+    pass, one de-rotation and one matrix-vector product with the
+    layout's cached spline weights.  Forward × reverse then gives each
+    packet's product, and each band's products are averaged over the
+    packets exchanged during its dwell — the §7 packet-averaging that
+    suppresses residual-CFO error.
 
     Args:
         sweep: A full (possibly multi-packet-per-band) CSI sweep.
@@ -52,19 +57,29 @@ def band_products(
     Returns:
         ``(frequencies_hz, products)`` — ascending band centers and one
         averaged complex product per band.
+
+    Raises:
+        ValueError: the filter selects no band; a selected CSI row is
+            not finite (the message names its band, packet and
+            direction); or the sweep mixes subcarrier layouts.
     """
-    freqs: list[float] = []
-    products: list[complex] = []
-    for center_hz, measurements in sweep.by_band().items():
-        band = measurements[0].band
-        if band_filter is not None and not band_filter(band):
-            continue
-        values = [zero_subcarrier_product(m, power) for m in measurements]
-        freqs.append(center_hz)
-        products.append(complex(np.mean(values)))
-    if not freqs:
+    bands = [
+        (center_hz, measurements)
+        for center_hz, measurements in sweep.by_band().items()
+        if band_filter is None or band_filter(measurements[0].band)
+    ]
+    if not bands:
         raise ValueError("band filter removed every band from the sweep")
-    return np.asarray(freqs, dtype=float), np.asarray(products, dtype=complex)
+    products = zero_subcarrier_products([m for _, ms in bands for m in ms], power)
+    counts = np.array([len(ms) for _, ms in bands])
+    starts = np.cumsum(counts) - counts
+    means = np.empty(len(bands), dtype=complex)
+    # Bands with equal packet counts average as rows of one array: a
+    # contiguous row's mean is np.mean of that band's products alone.
+    for n in np.unique(counts):
+        same = counts == n
+        means[same] = products[starts[same, None] + np.arange(n)].mean(axis=1)
+    return np.array([center_hz for center_hz, _ in bands], dtype=float), means
 
 
 @dataclass(frozen=True)
@@ -112,8 +127,18 @@ class LinkCalibration:
         """Build a calibration from a known-distance measurement.
 
         ``measured_tof_s`` must be the *raw* (uncalibrated) estimate at
-        the reference placement.
+        the reference placement.  Every argument given must be finite: a
+        NaN bias would silently turn off the coarse gate for every later
+        link of the device pair.
         """
+        given = {
+            "measured_tof_s": measured_tof_s,
+            "true_tof_s": true_tof_s,
+            "measured_coarse_rt_s": measured_coarse_rt_s,
+        }
+        for name, value in given.items():
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"calibration needs a finite {name}, got {value}")
         coarse_bias = None
         if measured_coarse_rt_s is not None:
             coarse_bias = measured_coarse_rt_s - 2.0 * measured_tof_s

@@ -17,26 +17,41 @@ would alias a naive unwrap.  We therefore:
 2. de-rotate the CSI by that slope (the value at subcarrier 0 is
    untouched — the de-rotation is exp(-j·slope·k), identity at k=0),
 3. cubic-spline the now slowly-varying complex CSI (real and imaginary
-   parts), and evaluate at subcarrier 0.
+   parts), and evaluate at subcarrier 0.  The not-a-knot spline is
+   linear in its data, so for a fixed subcarrier layout its value at 0
+   is a fixed linear functional ``detrended @ w`` of the detrended CSI;
+   the weights ``w`` are computed once per layout and cached.
 
 Step 3 on the de-trended *complex* values is numerically equivalent to
 the paper's magnitude/phase spline but immune to phase-wrap artifacts at
 deep fades.
+
+The front end is batch-first, like the engine below it: a sweep's
+(band, packet, direction) CSI is one stacked ``(m, k)`` array, rows
+first, and steps 1–3 run once over the whole stack.  The scalar helpers
+are its ``m = 1`` case.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from repro.core.typing import ComplexCSI, FloatVector
+from repro.core.typing import ComplexCSI, ComplexCSIStack, FloatVector
 from repro.wifi.csi import BandCsi, LinkCsi
 from repro.wifi.ofdm import SUBCARRIER_SPACING_HZ
 
+# phase(k) = -2*pi*(k*spacing)*delay  =>  delay = -slope/(2*pi*spacing)
+_RAD_PER_INDEX_PER_S = 2.0 * math.pi * SUBCARRIER_SPACING_HZ
 
-def phase_slope_per_index(csi: ComplexCSI, indices: FloatVector) -> float:
+
+def phase_slope_per_index(
+    csi: ComplexCSI | ComplexCSIStack, indices: FloatVector
+) -> float | FloatVector:
     """Robust bulk phase slope (radians per subcarrier index).
 
     The slope encodes the total group delay (propagation + detection +
@@ -44,31 +59,131 @@ def phase_slope_per_index(csi: ComplexCSI, indices: FloatVector) -> float:
     gap-1 pairs therefore tolerate the largest delays and are used as
     the coarse anchor, after which wider-gap pairs (which are more
     numerous, hence less noisy) refine the estimate around it.
+
+    ``csi`` is one packet's ``(k,)`` CSI, giving a float, or ``(m, k)``
+    rows, giving ``(m,)`` slopes; a 1-D call is the ``m = 1`` case.  A
+    row whose refinement weights total zero (all-zero CSI) keeps its
+    coarse slope, and a non-finite row gives NaN.
     """
-    csi = np.asarray(csi, dtype=complex)
+    rows = np.asarray(csi, dtype=complex)
     idx = np.asarray(indices, dtype=float)
-    if csi.shape != idx.shape or csi.ndim != 1:
-        raise ValueError("csi and indices must be 1-D and the same length")
-    if len(csi) < 2:
+    if rows.ndim not in (1, 2) or idx.ndim != 1 or rows.shape[-1] != len(idx):
+        raise ValueError(
+            f"csi must be (k,) or (m, k) rows for {idx.shape} indices, "
+            f"got {rows.shape}"
+        )
+    slopes = _row_slopes(np.atleast_2d(rows), idx)
+    return float(slopes[0]) if rows.ndim == 1 else slopes
+
+
+def _row_slopes(rows: ComplexCSIStack, idx: FloatVector) -> FloatVector:
+    """:func:`phase_slope_per_index` of ``(m, k)`` rows, no Python loop.
+
+    Each row gets exactly the arithmetic of a one-row call, whatever the
+    stack around it.
+    """
+    if len(idx) < 2:
         raise ValueError("need at least two subcarriers for a slope")
     gaps = np.diff(idx)
-    pair_rot = csi[1:] * np.conj(csi[:-1])
     min_gap = gaps.min()
-    anchor_pairs = pair_rot[gaps == min_gap]
-    coarse = float(np.angle(anchor_pairs.sum())) / float(min_gap)
+    # Named, so that numpy cannot write the product into a large
+    # temporary operand in place, which rounds differently.
+    previous = np.conj(rows[:, :-1])
+    pair_rot = rows[:, 1:] * previous
+    # np.take keeps the anchors C-contiguous, so each row's sum is the
+    # pairwise sum a 1-D array gets.
+    anchors = np.take(pair_rot, np.flatnonzero(gaps == min_gap), axis=1)
+    coarse = np.angle(anchors.sum(axis=1)) / min_gap
     # Refine: unwrap each pair's phase difference around the coarse
     # prediction, then average slope contributions weighted by gap.
-    slopes = []
-    weights = []
-    for rot, gap in zip(pair_rot, gaps, strict=True):
-        predicted = coarse * gap
-        observed = predicted + float(np.angle(rot * np.exp(-1j * predicted)))
-        slopes.append(observed / gap)
-        weights.append(abs(rot) * gap)
-    total_weight = float(np.sum(weights))
-    if total_weight <= 0.0:
-        return coarse
-    return float(np.average(slopes, weights=weights))
+    predicted = coarse[:, None] * gaps
+    turn = np.exp(-1j * predicted)
+    # pair_rot * turn in real arithmetic, as a scalar complex product
+    # computes it: numpy's vector product may fuse a multiply-add.
+    real = pair_rot.real * turn.real - pair_rot.imag * turn.imag
+    imag = pair_rot.real * turn.imag + pair_rot.imag * turn.real
+    slopes = (predicted + np.arctan2(imag, real)) / gaps
+    weights = np.hypot(pair_rot.real, pair_rot.imag) * gaps
+    total = weights.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        refined = (slopes * weights).sum(axis=1) / total
+    # `total <= 0` is False for a NaN total, which keeps the NaN, as
+    # np.average did.
+    return np.where(total <= 0.0, coarse, refined)
+
+
+@functools.lru_cache(maxsize=16)
+def _spline_weights(subcarriers: tuple[int, ...]) -> FloatVector:
+    """``w`` with ``CubicSpline(subcarriers, y)(0.0) == y @ w`` for all ``y``.
+
+    Built through ``CubicSpline`` itself, so a layout scipy rejects (not
+    strictly increasing, non-finite, fewer than two indices) still
+    fails.  Every thread shares the cached array, hence read-only.
+    """
+    idx = np.asarray(subcarriers, dtype=float)
+    weights = CubicSpline(idx, np.eye(len(idx)))(0.0)
+    weights.setflags(write=False)
+    return weights
+
+
+def _zero_subcarrier_rows(
+    rows: ComplexCSIStack, subcarriers: tuple[int, ...], power: int
+) -> ComplexCSI:
+    """Steps 1–3 over a stack: each row's channel at subcarrier 0."""
+    if power < 1:
+        raise ValueError(f"power must be >= 1, got {power}")
+    weights = _spline_weights(subcarriers)
+    idx = np.asarray(subcarriers, dtype=float)
+    powered = rows**power
+    slopes = _row_slopes(powered, idx)
+    ramp = np.exp(-1j * slopes[:, None] * idx)
+    # One matrix-vector product, as per-row dot products: a BLAS GEMV
+    # sums a row in an order that depends on the stack's height.
+    return np.einsum("ij,j->i", powered * ramp, weights)
+
+
+def _stacked(
+    csis: Sequence[BandCsi], name: Callable[[int], str]
+) -> tuple[ComplexCSIStack, tuple[int, ...]]:
+    """Stack CSI as rows of one array, rejecting what one pass cannot take.
+
+    A stack has one subcarrier layout, so one layout's spline weights
+    never touch another's rows.  One ``np.isfinite`` pass stands in for
+    the finite-data check the per-packet splines used to make: a
+    non-finite row fails here, named by ``name(row)``, instead of
+    turning into a NaN product.
+    """
+    layout = csis[0].subcarriers
+    for row, csi in enumerate(csis):
+        if csi.subcarriers is not layout and csi.subcarriers != layout:
+            raise ValueError(
+                f"{name(row)} reports subcarriers {csi.subcarriers}, but "
+                f"{name(0)} reports {layout}: a stack needs one layout"
+            )
+    rows = np.stack([csi.csi for csi in csis])
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"non-finite CSI on {name(int(np.argmin(finite)))}")
+    return rows, layout
+
+
+def _packet_name(csi: BandCsi) -> str:
+    return (
+        f"band {csi.band.center_hz / 1e6:.1f} MHz, "
+        f"packet at t = {csi.timestamp_s:.6f} s"
+    )
+
+
+def _pair_rows(
+    pairs: Sequence[LinkCsi],
+) -> tuple[ComplexCSIStack, tuple[int, ...]]:
+    """Each pair's forward and reverse CSI as rows ``2i`` and ``2i + 1``."""
+    csis = [csi for pair in pairs for csi in (pair.forward, pair.reverse)]
+    return _stacked(
+        csis,
+        lambda row: f"{_packet_name(csis[row])}, "
+        f"{('forward', 'reverse')[row % 2]} direction",
+    )
 
 
 def zero_subcarrier_csi(band_csi: BandCsi, power: int = 1) -> complex:
@@ -83,29 +198,41 @@ def zero_subcarrier_csi(band_csi: BandCsi, power: int = 1) -> complex:
     Returns:
         The complex channel estimate at the band's center frequency.
     """
-    if power < 1:
-        raise ValueError(f"power must be >= 1, got {power}")
-    csi = np.asarray(band_csi.csi, dtype=complex) ** power
-    indices = np.asarray(band_csi.subcarriers, dtype=float)
-    slope = phase_slope_per_index(csi, indices)
-    detrended = csi * np.exp(-1j * slope * indices)
-    real_spline = CubicSpline(indices, detrended.real)
-    imag_spline = CubicSpline(indices, detrended.imag)
-    return complex(real_spline(0.0) + 1j * imag_spline(0.0))
+    rows, layout = _stacked([band_csi], lambda _: _packet_name(band_csi))
+    return complex(_zero_subcarrier_rows(rows, layout, power)[0])
 
 
-def zero_subcarrier_product(link_csi: LinkCsi, power: int = 1) -> complex:
-    """§7's reciprocity product evaluated at subcarrier 0.
+def zero_subcarrier_products(
+    pairs: Sequence[LinkCsi], power: int = 1
+) -> ComplexCSI:
+    """§7's reciprocity product at subcarrier 0 of every packet pair.
 
     Interpolates the forward and reverse CSI to subcarrier 0 *first*
     (each direction's detection-delay ramp is handled separately, keeping
     unwrap margins safe), then multiplies.  The CFO phases are equal and
     opposite, so they cancel in the product; the result approximates
     ``κ · h²`` (or ``κ⁴ · h⁸`` for ``power=4``).
+
+    All pairs run as one stacked pass over a ``(2·n_pairs, k)`` array.
+
+    Raises:
+        ValueError: a row is not finite, or the pairs mix subcarrier
+            layouts; the message names the band, packet and direction.
     """
-    fwd = zero_subcarrier_csi(link_csi.forward, power)
-    rev = zero_subcarrier_csi(link_csi.reverse, power)
-    return fwd * rev
+    rows, layout = _pair_rows(pairs)
+    values = _zero_subcarrier_rows(rows, layout, power)
+    fwd, rev = values[0::2], values[1::2]
+    # fwd * rev in real arithmetic, as a scalar complex product computes
+    # it: numpy's vector product may fuse a multiply-add, and the
+    # imaginary part of a near-real product is a cancellation.
+    real = fwd.real * rev.real - fwd.imag * rev.imag
+    imag = fwd.real * rev.imag + fwd.imag * rev.real
+    return real + 1j * imag
+
+
+def zero_subcarrier_product(link_csi: LinkCsi, power: int = 1) -> complex:
+    """One packet pair's :func:`zero_subcarrier_products`."""
+    return complex(zero_subcarrier_products([link_csi], power)[0])
 
 
 def group_delay_s(band_csi: BandCsi) -> float:
@@ -115,12 +242,8 @@ def group_delay_s(band_csi: BandCsi) -> float:
     delay.  Subtracting an independent ToF estimate yields the per-packet
     detection delay — how the paper measures Fig. 7c.
     """
-    slope = phase_slope_per_index(
-        np.asarray(band_csi.csi, dtype=complex),
-        np.asarray(band_csi.subcarriers, dtype=float),
-    )
-    # phase(k) = -2*pi*(k*spacing)*delay  =>  delay = -slope/(2*pi*spacing)
-    return -slope / (2.0 * math.pi * SUBCARRIER_SPACING_HZ)
+    idx = np.asarray(band_csi.subcarriers, dtype=float)
+    return float(-phase_slope_per_index(band_csi.csi, idx) / _RAD_PER_INDEX_PER_S)
 
 
 def round_trip_slope_delay_s(link_csi: LinkCsi) -> float:
@@ -134,5 +257,10 @@ def round_trip_slope_delay_s(link_csi: LinkCsi) -> float:
     range gate that anchors first-peak selection (the constant part of
     the bias is removed by the same known-distance calibration as the
     ToF bias).
+
+    Both directions are one two-row slope pass; a non-finite row raises
+    a ``ValueError`` naming its band, packet and direction.
     """
-    return group_delay_s(link_csi.forward) + group_delay_s(link_csi.reverse)
+    rows, layout = _pair_rows([link_csi])
+    delays = -_row_slopes(rows, np.asarray(layout, dtype=float)) / _RAD_PER_INDEX_PER_S
+    return float(delays[0] + delays[1])

@@ -401,13 +401,16 @@ class TofEstimator:
         band_filter: Callable[[Band], bool] | None,
         power: int,
     ) -> tuple[FrequencyVector, ComplexCSI] | None:
-        """Average per-band products across sweeps; None if no bands."""
+        """Average per-band products across sweeps; None if no bands.
+
+        A sweep the filter selects no band of is skipped; any other
+        front-end error (a non-finite CSI row) fails the link.
+        """
         per_band: dict[float, list[complex]] = {}
         for sweep in sweeps:
-            try:
-                freqs, products = band_products(sweep, power, band_filter)
-            except ValueError:
+            if band_filter is not None and not any(map(band_filter, sweep.bands)):
                 continue
+            freqs, products = band_products(sweep, power, band_filter)
             for f, p in zip(freqs, products, strict=True):
                 per_band.setdefault(float(f), []).append(p)
         if len(per_band) < 2:

@@ -1,7 +1,10 @@
 """Zero-subcarrier interpolation (§5) and CFO reciprocity handling (§7)."""
 
+import re
+
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from repro.core.cfo import LinkCalibration, band_products
 from repro.core.interpolation import (
@@ -10,12 +13,14 @@ from repro.core.interpolation import (
     round_trip_slope_delay_s,
     zero_subcarrier_csi,
     zero_subcarrier_product,
+    zero_subcarrier_products,
 )
 from repro.rf.channel import channel_at
 from repro.rf.paths import from_delays
-from repro.wifi.bands import Band
+from repro.wifi.bands import US_BAND_PLAN, Band
 from repro.wifi.csi import BandCsi, CsiSweep, LinkCsi
 from repro.wifi.ofdm import (
+    DATA_SUBCARRIERS_20MHZ,
     INTEL5300_SUBCARRIERS_20MHZ,
     SUBCARRIER_SPACING_HZ,
     subcarrier_frequencies,
@@ -34,6 +39,54 @@ def csi_with_delay(total_delay_s: float, band: Band = BAND, paths=None) -> BandC
     ramp = np.exp(-2j * np.pi * IDX * SUBCARRIER_SPACING_HZ * total_delay_s)
     return BandCsi(band=band, csi=h * ramp)
 
+
+
+def reference_slope(csi, indices):
+    """The per-pair loop the row-wise slope replaced, kept as its reference."""
+    gaps = np.diff(indices)
+    pair_rot = csi[1:] * np.conj(csi[:-1])
+    min_gap = gaps.min()
+    coarse = float(np.angle(pair_rot[gaps == min_gap].sum())) / float(min_gap)
+    slopes, weights = [], []
+    for rot, gap in zip(pair_rot, gaps, strict=True):
+        predicted = coarse * gap
+        observed = predicted + float(np.angle(rot * np.exp(-1j * predicted)))
+        slopes.append(observed / gap)
+        weights.append(abs(rot) * gap)
+    if float(np.sum(weights)) <= 0.0:
+        return coarse
+    return float(np.average(slopes, weights=weights))
+
+
+def random_rows(rng, n_rows, layout=INTEL5300_SUBCARRIERS_20MHZ, delay_s=180e-9):
+    """Random complex CSI rows carrying a detection-delay ramp."""
+    idx = np.asarray(layout, dtype=float)
+    shape = (n_rows, len(idx))
+    noise = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return noise * np.exp(-2j * np.pi * idx * SUBCARRIER_SPACING_HZ * delay_s)
+
+
+def random_pairs(rng, packets_per_band, bands=US_BAND_PLAN.bands):
+    """Packet pairs of random CSI, ``packets_per_band(i)`` on band ``i``."""
+    pairs = []
+    for i, band in enumerate(bands):
+        for packet in range(packets_per_band(i)):
+            t = 1e-3 * len(pairs)
+            forward, reverse = random_rows(rng, 2)
+            pairs.append(
+                LinkCsi(
+                    forward=BandCsi(band=band, csi=forward, timestamp_s=t),
+                    reverse=BandCsi(band=band, csi=reverse, timestamp_s=t + 2e-5),
+                )
+            )
+    return pairs
+
+
+LAYOUTS = pytest.mark.parametrize(
+    "layout",
+    [INTEL5300_SUBCARRIERS_20MHZ, DATA_SUBCARRIERS_20MHZ],
+    ids=["intel5300", "ht20"],
+)
 
 class TestPhaseSlope:
     def test_pure_ramp_slope(self):
@@ -130,6 +183,99 @@ class TestBandProducts:
             band_products(sweep, band_filter=lambda b: b.is_2g4)
 
 
+
+class TestStackedFrontEnd:
+    """The stacked §5 pass against its per-packet references."""
+
+    @LAYOUTS
+    @pytest.mark.parametrize("power", [1, 4])
+    def test_spline_weights_match_scipy(self, rng, layout, power):
+        idx = np.asarray(layout, dtype=float)
+        for row in random_rows(rng, 20, layout):
+            powered = row**power
+            slope = phase_slope_per_index(powered, idx)
+            d = powered * np.exp(-1j * slope * idx)
+            want = CubicSpline(idx, d.real)(0.0) + 1j * CubicSpline(idx, d.imag)(0.0)
+            got = zero_subcarrier_csi(
+                BandCsi(band=BAND, csi=row, subcarriers=layout), power
+            )
+            assert abs(got - want) <= 1e-13 * abs(want)
+
+    @LAYOUTS
+    def test_row_slopes_are_one_row_calls_bit_for_bit(self, rng, layout):
+        idx = np.asarray(layout, dtype=float)
+        rows = random_rows(rng, 40, layout)
+        rows[17] = 0.0  # weights total zero: the coarse slope is kept
+        rows[23, 4] = np.nan  # a NaN total gives NaN, not the coarse slope
+        slopes = phase_slope_per_index(rows, idx)
+        assert slopes.shape == (40,)
+        # assert_array_equal is exact, and NaN matches NaN.
+        np.testing.assert_array_equal(
+            slopes, [phase_slope_per_index(row, idx) for row in rows]
+        )
+        np.testing.assert_array_equal(slopes, [reference_slope(r, idx) for r in rows])
+        assert slopes[17] == 0.0
+        assert np.isnan(slopes[23])
+
+    @pytest.mark.parametrize("power", [1, 4])
+    def test_stacking_leaves_each_packet_unchanged(self, rng, power):
+        pairs = random_pairs(rng, lambda i: 36, [BAND, Band(40, 5.2e9)])
+        assert len(pairs) == 72  # a 144-row stack
+        stacked = zero_subcarrier_products(pairs, power)
+        for pair, value in zip(pairs, stacked, strict=True):
+            alone = zero_subcarrier_csi(pair.forward, power) * zero_subcarrier_csi(
+                pair.reverse, power
+            )
+            assert abs(value - alone) <= 1e-15 * abs(alone)
+
+    @pytest.mark.parametrize(
+        "packets_per_band",
+        [lambda i: 1, lambda i: 3, lambda i: 1 + i % 3],
+        ids=["1", "3", "mixed"],
+    )
+    def test_band_products_average_each_bands_packets(self, rng, packets_per_band):
+        sweep = CsiSweep(random_pairs(rng, packets_per_band))
+        freqs, products = band_products(sweep, power=4)
+        by_band = sweep.by_band()
+        np.testing.assert_array_equal(freqs, list(by_band))
+        want = [
+            np.mean([zero_subcarrier_product(m, power=4) for m in measurements])
+            for measurements in by_band.values()
+        ]
+        np.testing.assert_allclose(products, want, rtol=1e-15, atol=0.0)
+
+    def test_mixed_layouts_rejected_by_name(self, rng):
+        intel = random_pairs(rng, lambda i: 1, [BAND])[0]
+        ht20 = LinkCsi(
+            forward=intel.forward,
+            reverse=BandCsi(
+                band=BAND,
+                csi=random_rows(rng, 1, DATA_SUBCARRIERS_20MHZ)[0],
+                subcarriers=DATA_SUBCARRIERS_20MHZ,
+            ),
+        )
+        with pytest.raises(ValueError, match="reverse direction reports subcarriers"):
+            band_products(CsiSweep([ht20]))
+
+    @pytest.mark.parametrize("direction", ["forward", "reverse"])
+    def test_non_finite_row_fails_by_name(self, rng, direction):
+        pairs = random_pairs(rng, lambda i: 2, [BAND, Band(40, 5.2e9)])
+        poisoned = pairs[3]
+        getattr(poisoned, direction).csi[5] = np.nan
+        t = getattr(poisoned, direction).timestamp_s
+        named = re.escape(
+            f"non-finite CSI on band 5200.0 MHz, packet at t = {t:.6f} s, "
+            f"{direction} direction"
+        )
+        with pytest.raises(ValueError, match=named):
+            band_products(CsiSweep(pairs))
+        with pytest.raises(ValueError, match=named):
+            round_trip_slope_delay_s(poisoned)
+        with pytest.raises(ValueError, match="non-finite CSI on band 5200.0 MHz"):
+            zero_subcarrier_csi(getattr(poisoned, direction))
+        # A band the filter leaves out is never read.
+        band_products(CsiSweep(pairs), band_filter=lambda b: b.center_hz < 5.19e9)
+
 class TestLinkCalibration:
     def test_bias_removed(self):
         cal = LinkCalibration.fit(measured_tof_s=50e-9, true_tof_s=20e-9)
@@ -154,3 +300,12 @@ class TestLinkCalibration:
         assert cal.tof_bias_s == pytest.approx(30e-9)
         with pytest.raises(ValueError):
             LinkCalibration.fit_from_distance(40e-9, -1.0)
+
+    @pytest.mark.parametrize(
+        "args",
+        [(np.nan, 20e-9), (50e-9, np.inf), (50e-9, 20e-9, np.nan)],
+        ids=["measured", "true", "coarse"],
+    )
+    def test_fit_rejects_non_finite(self, args):
+        with pytest.raises(ValueError, match="finite"):
+            LinkCalibration.fit(*args)

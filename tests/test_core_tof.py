@@ -1,8 +1,11 @@
 """The end-to-end ToF estimator."""
 
+import re
+
 import numpy as np
 import pytest
 
+from repro.core.batch import BatchTofEngine
 from repro.core.cfo import LinkCalibration
 from repro.core.ndft import steering_vector
 from repro.core.tof import TofEstimator, TofEstimatorConfig
@@ -167,3 +170,30 @@ class TestEndToEnd:
         # 2*tau + two detection delays (~177 each) + chain: hundreds of ns.
         assert result.coarse_round_trip_s is not None
         assert 300e-9 < result.coarse_round_trip_s < 800e-9
+
+
+class TestNonFiniteCsi:
+    """One non-finite CSI value fails the link with a named error.
+
+    The per-packet splines used to raise a ValueError that the
+    estimator took for "no band selected": the packet's whole band
+    group dropped out, the coarse gate went NaN and the estimate came
+    back ok from the other group alone.
+    """
+
+    @pytest.mark.parametrize("band_group", ["5g", "2g4"])
+    @pytest.mark.parametrize("direction", ["forward", "reverse"])
+    def test_partial_nan_sweep_fails_named(self, intel_link, band_group, direction):
+        sweep = intel_link.sweep(2)
+        packet = [m for m in sweep if getattr(m.band, f"is_{band_group}")][3]
+        csi = getattr(packet, direction)
+        csi.csi[11] = np.nan
+        named = re.escape(
+            f"non-finite CSI on band {packet.band.center_hz / 1e6:.1f} MHz, "
+            f"packet at t = {csi.timestamp_s:.6f} s, {direction} direction"
+        )
+        cfg = TofEstimatorConfig(compute_profile=False)
+        with pytest.raises(ValueError, match=named):
+            TofEstimator(cfg).estimate_many([sweep])
+        with pytest.raises(ValueError, match=named):
+            BatchTofEngine(cfg).estimate_sweeps_batch([[sweep]])

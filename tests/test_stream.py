@@ -214,6 +214,50 @@ class TestStreamIsolation:
         assert got[0].ok
         assert not got[1].ok and got[1].error
 
+    def test_partial_nan_sweep_fails_named_and_alone(
+        self, rng, small_plan, fast_config, make_streaming
+    ):
+        """One NaN subcarrier fails its link with the front end's named
+        error, and the flush-mate gets the ToF it gets solved alone."""
+        from repro.core.batch import BatchTofEngine
+        from repro.rf.environment import free_space
+        from repro.rf.geometry import Point
+        from repro.wifi.hardware import INTEL_5300
+        from repro.wifi.radio import SimulatedLink
+
+        link = SimulatedLink(
+            environment=free_space(),
+            tx_position=Point(0.0, 0.0),
+            rx_position=Point(3.0, 0.0),
+            tx_state=INTEL_5300.sample_device_state(rng),
+            rx_state=INTEL_5300.sample_device_state(rng),
+            band_plan=small_plan,
+            rng=rng,
+        )
+        good = link.sweep(2)
+        poisoned = link.sweep(2)
+        poisoned[5].reverse.csi[3] = np.nan
+        alone = BatchTofEngine(fast_config).estimate_sweeps_batch([[good]])[0]
+        streaming = make_streaming(fast_config)
+
+        async def run():
+            return await asyncio.wait_for(
+                asyncio.gather(
+                    streaming.submit(SweepRequest("good", (good,))),
+                    streaming.submit(SweepRequest("bad", (poisoned,))),
+                ),
+                timeout=60.0,
+            )
+
+        got = asyncio.run(run())
+        assert streaming.stats.n_flushes == 1
+        assert got[0].ok
+        assert abs(got[0].estimate.tof_s - alone.tof_s) <= 1e-12
+        assert not got[1].ok
+        assert got[1].error.startswith("non-finite CSI on band")
+        assert got[1].error.endswith("reverse direction")
+        assert streaming.stats.n_failed_sweeps == 1
+
 
 class TestMicroBatching:
     def test_max_batch_links_forces_early_flush(self, rng, make_streaming):

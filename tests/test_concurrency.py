@@ -1,4 +1,4 @@
-"""Thread-safety smoke tests for the process-wide NDFT operator cache.
+"""Thread-safety smoke tests for the process-wide caches.
 
 A concurrent :class:`~repro.net.service.RangingService` deployment hits
 :func:`repro.core.ndft.get_operator` from many threads at once.  The
@@ -6,15 +6,19 @@ LRU bookkeeping (``move_to_end`` / ``popitem`` on one ``OrderedDict``)
 is not atomic, so without the cache lock these tests race: interleaved
 evictions and clears raise ``KeyError``/``RuntimeError`` out of the
 cache internals, or leave the dict oversized.  With the lock they must
-pass silently.  The CI matrix runs this file as its own named step so a
-regression is visible at a glance.
+pass silently.  The §5 front end's cached spline weights are shared by
+the flush workers the same way.  The CI matrix runs this file as its
+own named step so a regression is visible at a glance.
 """
 
+import sys
 import threading
 
 import numpy as np
 import pytest
 
+from repro.core.cfo import band_products
+from repro.core.interpolation import _spline_weights
 from repro.core.ndft import (
     _OPERATOR_CACHE_MAXSIZE,
     clear_operator_cache,
@@ -23,6 +27,8 @@ from repro.core.ndft import (
     operator_cache_stats,
 )
 from repro.wifi.bands import US_BAND_PLAN
+from repro.wifi.csi import BandCsi, CsiSweep, LinkCsi
+from repro.wifi.ofdm import DATA_SUBCARRIERS_20MHZ, INTEL5300_SUBCARRIERS_20MHZ
 
 FREQS = US_BAND_PLAN.subset_5g().center_frequencies_hz
 
@@ -226,3 +232,63 @@ class TestFlushPoolThreadSafety:
         # into a dict that close() no longer sees.
         assert all(ex._shutdown for ex in created)
         assert service._executors == {}
+
+
+class TestSplineWeightCacheThreadSafety:
+    def test_concurrent_band_products_match_serial(self):
+        """Flush workers run the §5 front end at once and share the
+        cached spline weights: from a cold cache, on two subcarrier
+        layouts, every thread gets the serial products bit for bit, and
+        the shared weights stay read-only."""
+        rng = np.random.default_rng(5)
+        sweeps = []
+        for layout in (INTEL5300_SUBCARRIERS_20MHZ, DATA_SUBCARRIERS_20MHZ):
+            pairs = []
+            for t, band in enumerate(US_BAND_PLAN.bands):
+                forward, reverse = (
+                    BandCsi(
+                        band=band,
+                        csi=rng.normal(size=len(layout))
+                        + 1j * rng.normal(size=len(layout)),
+                        subcarriers=layout,
+                        timestamp_s=1e-3 * t,
+                    )
+                    for _ in range(2)
+                )
+                pairs.append(LinkCsi(forward=forward, reverse=reverse))
+            sweeps.append(CsiSweep(pairs))
+        serial = [band_products(sweep, power=4)[1] for sweep in sweeps]
+
+        _spline_weights.cache_clear()
+        results: list[list[tuple[int, np.ndarray]]] = [[] for _ in range(8)]
+        errors: list[BaseException] = []
+        barrier = threading.Barrier(8)
+
+        def worker(k):
+            try:
+                barrier.wait()
+                for i in range(20):
+                    which = (i + k) % 2
+                    results[k].append((which, band_products(sweeps[which], 4)[1]))
+            except BaseException as exc:  # noqa: BLE001 — collected, asserted below
+                errors.append(exc)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        for got in results:
+            assert len(got) == 20
+            for which, products in got:
+                np.testing.assert_array_equal(products, serial[which])
+        for layout in (INTEL5300_SUBCARRIERS_20MHZ, DATA_SUBCARRIERS_20MHZ):
+            with pytest.raises(ValueError):
+                _spline_weights(layout)[0] = 1.0

@@ -40,7 +40,6 @@ def csi_with_delay(total_delay_s: float, band: Band = BAND, paths=None) -> BandC
     return BandCsi(band=band, csi=h * ramp)
 
 
-
 def reference_slope(csi, indices):
     """The per-pair loop the row-wise slope replaced, kept as its reference."""
     gaps = np.diff(indices)
@@ -70,7 +69,7 @@ def random_pairs(rng, packets_per_band, bands=US_BAND_PLAN.bands):
     """Packet pairs of random CSI, ``packets_per_band(i)`` on band ``i``."""
     pairs = []
     for i, band in enumerate(bands):
-        for packet in range(packets_per_band(i)):
+        for _ in range(packets_per_band(i)):
             t = 1e-3 * len(pairs)
             forward, reverse = random_rows(rng, 2)
             pairs.append(
@@ -87,6 +86,7 @@ LAYOUTS = pytest.mark.parametrize(
     [INTEL5300_SUBCARRIERS_20MHZ, DATA_SUBCARRIERS_20MHZ],
     ids=["intel5300", "ht20"],
 )
+
 
 class TestPhaseSlope:
     def test_pure_ramp_slope(self):
@@ -183,7 +183,6 @@ class TestBandProducts:
             band_products(sweep, band_filter=lambda b: b.is_2g4)
 
 
-
 class TestStackedFrontEnd:
     """The stacked §5 pass against its per-packet references."""
 
@@ -275,6 +274,7 @@ class TestStackedFrontEnd:
             zero_subcarrier_csi(getattr(poisoned, direction))
         # A band the filter leaves out is never read.
         band_products(CsiSweep(pairs), band_filter=lambda b: b.center_hz < 5.19e9)
+
 
 class TestLinkCalibration:
     def test_bias_removed(self):

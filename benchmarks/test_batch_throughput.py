@@ -499,159 +499,6 @@ def test_streaming_coalesced_matches_hybrid_batch():
         streaming.close()  # release the flush-pool worker threads
 
 
-def test_streaming_warm_start_throughput():
-    """Temporal warm-start Δ-solves vs cold re-solves on a tracked-motion
-    fleet — the ``streaming_warm`` series.
-
-    The scenario the hint API exists for: every link re-ranges at the
-    §9 tick rate while its paths drift by a fraction of the hint window
-    per tick.  ``cold`` re-solves each tick from scratch (the pre-warm
-    behavior); ``warm`` runs the same ticks through a
-    ``warm_start=True`` streaming service, whose cached last-solve
-    hints seed the deflation windows and the FISTA iterate.  The series
-    records both paths' links/sec and mean FISTA iteration counts; the
-    assertion is that warm iterations land strictly below cold (the
-    Δ-solve actually engaged) while the answers stay sub-nanosecond
-    identical.
-    """
-    import asyncio
-
-    from repro.net.service import RangingRequest
-    from repro.rf.constants import SPEED_OF_LIGHT
-    from repro.stream import StreamConfig, StreamingRangingService
-
-    n_links = 32
-    n_ticks = 6
-    tick_s = 1.0 / 12.0
-    rng = np.random.default_rng(42)
-    base_taus = [np.sort(rng.uniform(10e-9, 60e-9, 3)) for _ in range(n_links)]
-    amps = [
-        rng.uniform(0.3, 1.0, 3) * np.exp(1j * rng.uniform(-np.pi, np.pi, 3))
-        for _ in range(n_links)
-    ]
-    # Radial speeds in the paper's tracked-quadrotor regime: slow enough
-    # that consecutive 12 Hz solves stay inside the hint window, fast
-    # enough that every tick's channel (and its fresh noise) genuinely
-    # differs from the hinted one.
-    velocities = rng.uniform(-0.4, 0.4, n_links)
-
-    def channels_at(tick: int) -> np.ndarray:
-        noise_rng = np.random.default_rng(1000 + tick)  # fresh noise per tick
-        rows = []
-        for link in range(n_links):
-            taus = base_taus[link] + velocities[link] * tick * tick_s / SPEED_OF_LIGHT
-            h = sum(
-                a * steering_vector(FREQS, 2 * t)
-                for a, t in zip(amps[link], taus)
-            )
-            h += 0.02 * (
-                noise_rng.normal(size=len(FREQS))
-                + 1j * noise_rng.normal(size=len(FREQS))
-            )
-            rows.append(h)
-        return np.vstack(rows)
-
-    ticks = [channels_at(t) for t in range(n_ticks)]
-    engine = BatchTofEngine(HYBRID_CONFIG)
-    engine.estimate_products_batch(FREQS, ticks[0][:2], exponent=2)  # warm caches
-
-    # Cold baseline: every tick re-solved from scratch.
-    cold_tofs: list[list[float]] = []
-    cold_iterations: list[int] = []
-    t0 = time.perf_counter()
-    for H in ticks:
-        cold_tofs.append(
-            [e.tof_s for e in engine.estimate_products_batch(FREQS, H, exponent=2)]
-        )
-        cold_iterations.extend(engine.last_warm_stats.fista_iterations)
-    cold_s = time.perf_counter() - t0
-
-    # Warm path: the same ticks through a warm-start streaming service.
-    stream_config = StreamConfig(
-        max_wait_s=600.0, max_batch_links=n_links, warm_start=True
-    )
-    streaming = StreamingRangingService(HYBRID_CONFIG, stream_config)
-
-    async def run_ticks():
-        per_tick = []
-        for H in ticks:
-            responses = await asyncio.gather(
-                *(
-                    streaming.submit(RangingRequest(f"link-{i}", FREQS, H[i]))
-                    for i in range(n_links)
-                )
-            )
-            # The deprecated mirror is race-free here: one band plan →
-            # one flush-pool worker, and the gather completes after the
-            # tick's only solve published it.
-            per_tick.append((responses, streaming.engine.last_warm_stats))
-        return per_tick
-
-    try:
-        t0 = time.perf_counter()
-        warm_runs = asyncio.run(run_ticks())
-        warm_s = time.perf_counter() - t0
-
-        agreement = max(
-            abs(r.estimate.tof_s - want)
-            for (responses, _), wants in zip(warm_runs, cold_tofs)
-            for r, want in zip(responses, wants)
-        )
-        # Tick 0 has no history (solves cold, seeding the hint cache);
-        # the Δ-solve statistics are the hinted ticks that follow.
-        warm_iterations = [
-            it for _, stats in warm_runs[1:] for it in stats.fista_iterations
-        ]
-        n_hinted = sum(stats.n_hinted for _, stats in warm_runs[1:])
-        n_stale = sum(stats.n_stale for _, stats in warm_runs[1:])
-        cold_mean = float(np.mean(cold_iterations))
-        warm_mean = float(np.mean(warm_iterations))
-
-        report = {
-            "n_links": n_links,
-            "n_ticks": n_ticks,
-            "cold": {
-                "seconds": cold_s,
-                "links_per_s": n_links * n_ticks / cold_s,
-                "mean_fista_iterations": cold_mean,
-            },
-            "warm": {
-                "seconds": warm_s,
-                "links_per_s": n_links * n_ticks / warm_s,
-                "mean_fista_iterations": warm_mean,
-            },
-            "iteration_ratio": warm_mean / cold_mean,
-            "n_hinted": n_hinted,
-            "n_stale_fallbacks": n_stale,
-            "max_abs_tof_disagreement_s": agreement,
-        }
-        _merge_artifact("streaming_warm", report)
-        _append_history(
-            "streaming_warm",
-            n_links * n_ticks / warm_s,
-            meta={"iteration_ratio": warm_mean / cold_mean},
-        )
-        print(
-            f"\nwarm {warm_mean:.1f} mean FISTA iters vs cold {cold_mean:.1f} "
-            f"({warm_mean / cold_mean:.2f}x) | warm "
-            f"{n_links * n_ticks / warm_s:.1f} links/s, cold "
-            f"{n_links * n_ticks / cold_s:.1f} | stale fallbacks "
-            f"{n_stale}/{n_hinted} | agreement {agreement:.2e} s"
-        )
-
-        assert n_hinted == n_links * (n_ticks - 1), "hints did not flow"
-        assert warm_mean < cold_mean, (
-            f"warm-start did not reduce FISTA iterations: {warm_mean:.1f} "
-            f"vs cold {cold_mean:.1f}"
-        )
-        # Sub-nanosecond parity: a warm Δ-solve must not move the answer
-        # (fresh hints reproduce the cold trajectory; stale ones fall
-        # back to it).
-        assert agreement <= 1e-9, "warm-start moved the estimates"
-    finally:
-        streaming.close()
-
-
 def test_localization_fixes_throughput():
     """Batched multi-client position solving vs a scalar per-fix loop —
     the ``localization_fixes`` series.

@@ -2,7 +2,7 @@
 
 The stack's correctness rests on invariants no generic linter knows
 about: blocking work must stay off the asyncio event loop, shared state
-must only be written under its declared lock, the request/hint API must
+must only be written under its declared lock, the request API must
 stay frozen, and every physical quantity must carry its unit in its
 name (sub-nanosecond ranging dies quietly on an ns-vs-s or m-vs-ticks
 mixup).  This package encodes those invariants as AST checkers with
@@ -17,12 +17,10 @@ REP001    No blocking calls inside ``async def`` (``time.sleep``,
 REP002    Writes to ``# guarded-by: <lock>`` state must happen inside
           ``with <lock>:`` — a lightweight lexical race detector.
 REP003    Request/hint/config types (``LinkRequest`` and subclasses,
-          ``SolveHint``, ``*Config``) must be ``@dataclass(frozen=True)``.
+          ``*Hint``, ``*Config``) must be ``@dataclass(frozen=True)``.
 REP004    Float fields and parameters in ``core``/``rf``/``wifi`` must
           name their unit (``_s``, ``_m``, ``_hz``, ``_db``, ``_rad``,
           …) or be explicitly allowlisted as unitless.
-REP005    The deprecated ``submit_sweeps`` API must not be called in
-          shipped code (use the unified ``submit(request)``).
 REP006    Public ``core``/``rf``/``wifi`` functions taking or returning
           ndarrays must state the contract: a dtype-pinned
           ``NDArray[...]`` alias (``repro.core.typing``) or a

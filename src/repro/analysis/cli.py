@@ -9,9 +9,8 @@ Ruff-style contract for CI and humans alike:
   missing path).
 
 ``--select`` restricts the run to a comma-separated subset of rule
-codes (the CI deprecated-API gate runs ``--select REP005`` over the
-example/benchmark trees, where the unit-suffix scope does not apply
-anyway but the narrower run documents intent).
+codes (``--select REP001,REP002`` runs only the two concurrency
+rules).
 """
 
 from __future__ import annotations

@@ -176,7 +176,7 @@ def check_paths(
     Args:
         paths: Files and/or directories.
         checkers: Rule set; defaults to :data:`~repro.analysis.rules.ALL_CHECKERS`.
-        select: Optional rule codes to run (e.g. ``["REP005"]``); the
+        select: Optional rule codes to run (e.g. ``["REP003"]``); the
             default runs every checker.
 
     Returns:

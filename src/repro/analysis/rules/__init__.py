@@ -12,7 +12,6 @@ from repro.analysis.rules.rep001_blocking import BlockingCallChecker
 from repro.analysis.rules.rep002_guards import UnguardedStateChecker
 from repro.analysis.rules.rep003_frozen import FrozenRequestChecker
 from repro.analysis.rules.rep004_units import UnitSuffixChecker
-from repro.analysis.rules.rep005_deprecated import DeprecatedApiChecker
 from repro.analysis.rules.rep006_ndarray import NdarrayContractChecker
 from repro.analysis.rules.rep007_unused_noqa import UnusedSuppressionChecker
 
@@ -21,7 +20,6 @@ ALL_CHECKERS: tuple[Checker, ...] = (
     UnguardedStateChecker(),
     FrozenRequestChecker(),
     UnitSuffixChecker(),
-    DeprecatedApiChecker(),
     NdarrayContractChecker(),
     UnusedSuppressionChecker(),
 )
@@ -32,7 +30,6 @@ __all__ = [
     "UnguardedStateChecker",
     "FrozenRequestChecker",
     "UnitSuffixChecker",
-    "DeprecatedApiChecker",
     "NdarrayContractChecker",
     "UnusedSuppressionChecker",
 ]

@@ -1,14 +1,13 @@
 """REP003 — request/hint/config types must be frozen dataclasses.
 
 The serving stack passes :class:`~repro.net.service.LinkRequest`
-objects (and their :class:`SolveHint` priors) across coroutines,
-flush-pool worker threads and cached hint tables.  A mutable request
-would let one layer's edit leak into another's in-flight solve — the
-whole request API is therefore immutable by contract:
+objects across coroutines and flush-pool worker threads.  A mutable
+request would let one layer's edit leak into another's in-flight solve
+— the whole request API is therefore immutable by contract:
 ``@dataclass(frozen=True)``, enforced here for
 
-* ``LinkRequest``, ``SolveHint`` and every class whose name ends in
-  ``Request``, ``Response``, ``Hint`` or ``Config``;
+* ``LinkRequest`` and every class whose name ends in ``Request``,
+  ``Response``, ``Hint`` or ``Config``;
 * any class that subclasses a known request type (a subclass of a
   frozen dataclass that is itself a non-frozen dataclass re-opens
   mutability for its own fields).
@@ -24,7 +23,7 @@ from typing import Iterator
 
 from repro.analysis.engine import Diagnostic, SourceFile, dotted_path
 
-_FROZEN_NAMES = frozenset({"LinkRequest", "SolveHint"})
+_FROZEN_NAMES = frozenset({"LinkRequest"})
 _FROZEN_SUFFIXES = ("Request", "Response", "Hint", "Config")
 _REQUEST_BASES = frozenset({"LinkRequest", "RangingRequest", "SweepRequest"})
 _EXEMPT_BASES = frozenset({"Protocol", "Enum", "IntEnum", "StrEnum", "Flag"})

@@ -34,7 +34,6 @@ requested, one batched L1 inversion for all links.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Sequence
 
 import numpy as np
@@ -52,26 +51,17 @@ from repro.core.deflation_batch import (
     full_aperture_refit_batch,
     prune_ghost_atoms_batch,
 )
-from repro.core.hints import SolveHint, WarmStartStats, ensure_hints
-from repro.core.ndft import NdftOperator, capped_window_s, get_grid_operator
+from repro.core.ndft import capped_window_s, get_grid_operator
 from repro.obs import COUNT_BUCKETS, REGISTRY, timed_span
-from repro.core.profile import MultipathProfile, RefinedPath
+from repro.core.profile import MultipathProfile
 from repro.core.sparse import invert_ndft_batch
 from repro.core.tof import (
     GroupEstimate,
     TofEstimate,
     TofEstimator,
     TofEstimatorConfig,
-    paths_residual_rel,
 )
-from repro.core.typing import (
-    BoolMask,
-    ComplexCSI,
-    ComplexCSIStack,
-    ComplexProfile,
-    ComplexProfileStack,
-    FrequencyVector,
-)
+from repro.core.typing import ComplexCSI, ComplexCSIStack, FrequencyVector
 from repro.wifi.csi import CsiSweep
 
 
@@ -98,49 +88,12 @@ def unsolvable_reason(products: ComplexCSI) -> str | None:
     return None
 
 
-class _WarmTelemetry:
-    """Mutable per-call accumulator behind ``last_warm_stats``.
-
-    One instance per public estimate call, threaded through the group
-    stacks it spawns and reduced to an immutable
-    :class:`~repro.core.hints.WarmStartStats` at the end — keeping the
-    engine's public state a single atomic assignment.
-    """
-
-    __slots__ = ("n_stale", "iterations")
-
-    def __init__(self) -> None:
-        self.n_stale = 0
-        self.iterations: list[int] = []
-
-    def snapshot(
-        self, n_links: int, hints: Sequence[SolveHint | None]
-    ) -> WarmStartStats:
-        return WarmStartStats(
-            n_links=n_links,
-            n_hinted=sum(1 for h in hints if h is not None),
-            n_stale=self.n_stale,
-            fista_iterations=tuple(self.iterations),
-        )
-
-
 class BatchTofEngine:
     """Estimates time-of-flight for a stack of links sharing a band plan.
 
     Args:
         config: Estimator settings, shared by every link in a batch.
             Per-link state (calibration) is passed per call instead.
-
-    Attributes:
-        last_warm_stats: **Deprecated best-effort mirror** of the most
-            recent public estimate call's warm-start telemetry.  Under
-            the concurrent flush pool, overlapping plan groups race on
-            this attribute — each assignment is atomic (a consistent
-            snapshot), but *whose* call you read is arbitrary.  New
-            code should pass ``warm_stats_out`` to receive the calling
-            solve's own :class:`~repro.core.hints.WarmStartStats`, or
-            read the cumulative ``engine.*`` series in
-            :data:`repro.obs.REGISTRY`.
     """
 
     def __init__(self, config: TofEstimatorConfig | None = None):
@@ -150,7 +103,6 @@ class BatchTofEngine:
         # drift from scalar ones.  Its calibration stays identity; the
         # engine applies per-link calibrations itself.
         self._estimator = TofEstimator(self.config)
-        self.last_warm_stats = WarmStartStats()
 
     # ------------------------------------------------------------------
     # Public API
@@ -161,8 +113,6 @@ class BatchTofEngine:
         channels: ComplexCSIStack | Sequence[Sequence[complex]],
         exponent: int = 2,
         calibrations: Sequence[LinkCalibration] | None = None,
-        hints: Sequence[SolveHint | None] | None = None,
-        warm_stats_out: list[WarmStartStats] | None = None,
     ) -> list[TofEstimate]:
         """ToF for ``N`` links from stacked band products.
 
@@ -177,14 +127,6 @@ class BatchTofEngine:
                 reciprocity square, 8 for the 2.4 GHz quirk's 4th power).
             calibrations: Optional per-link calibrations (identity when
                 omitted).
-            hints: Optional per-link raw-τ-domain temporal priors (see
-                :class:`~repro.core.hints.SolveHint`).  Hinted and
-                unhinted links coexist in one stacked solve; a stale
-                hint degrades to that link's cold solve.
-            warm_stats_out: Optional list this call appends its own
-                :class:`~repro.core.hints.WarmStartStats` to — the
-                race-free replacement for reading ``last_warm_stats``
-                under concurrent solves.
 
         Returns:
             One :class:`TofEstimate` per row of ``channels``.
@@ -217,8 +159,7 @@ class BatchTofEngine:
                 + "; ".join(unsolvable)
             )
         cals = self._check_calibrations(calibrations, n_links)
-        hint_list = ensure_hints(hints, n_links)
-        telemetry = _WarmTelemetry()
+        iterations: list[int] = []
         with timed_span(
             "engine.solve",
             "engine.solve_s",
@@ -226,8 +167,7 @@ class BatchTofEngine:
             n_links=n_links,
         ):
             groups = self._estimate_group_stack(
-                "direct", freqs, stacked, exponent, [None] * n_links,
-                hints=hint_list, telemetry=telemetry,
+                "direct", freqs, stacked, exponent, [None] * n_links, iterations
             )
         estimates: list[TofEstimate] = []
         for group, cal in zip(groups, cals, strict=True):
@@ -240,17 +180,13 @@ class BatchTofEngine:
                     n_bands=group.n_bands,
                 )
             )
-        self._publish_warm(
-            telemetry.snapshot(n_links, hint_list), warm_stats_out
-        )
+        self._record_fista(iterations)
         return estimates
 
     def estimate_sweeps_batch(
         self,
         sweeps_per_link: Sequence[Sequence[CsiSweep]],
         calibrations: Sequence[LinkCalibration] | None = None,
-        hints: Sequence[SolveHint | None] | None = None,
-        warm_stats_out: list[WarmStartStats] | None = None,
     ) -> list[TofEstimate]:
         """ToF for ``N`` links from their CSI sweeps.
 
@@ -265,13 +201,6 @@ class BatchTofEngine:
             sweeps_per_link: For each link, the sweeps to average.
             calibrations: Optional per-link calibrations (identity when
                 omitted).
-            hints: Optional per-link raw-τ-domain temporal priors; each
-                link's hint warm-starts every band group it lands in
-                (the engine rescales per group exponent).
-            warm_stats_out: Optional list this call appends its own
-                :class:`~repro.core.hints.WarmStartStats` to — the
-                race-free replacement for reading ``last_warm_stats``
-                under concurrent solves.
 
         Returns:
             One :class:`TofEstimate` per link, in input order.
@@ -279,8 +208,7 @@ class BatchTofEngine:
         est = self._estimator
         n_links = len(sweeps_per_link)
         cals = self._check_calibrations(calibrations, n_links)
-        hint_list = ensure_hints(hints, n_links)
-        telemetry = _WarmTelemetry()
+        iterations: list[int] = []
 
         with timed_span(
             "engine.solve",
@@ -318,9 +246,7 @@ class BatchTofEngine:
                 stacked = np.vstack([link_jobs[i][j][2] for i, j in members])
                 gates = [link_jobs[i][j][4] for i, j in members]
                 groups = self._estimate_group_stack(
-                    name, freqs, stacked, exponent, gates,
-                    hints=[hint_list[i] for i, _ in members],
-                    telemetry=telemetry,
+                    name, freqs, stacked, exponent, gates, iterations
                 )
                 for (i, j), group in zip(members, groups, strict=True):
                     group_results[(i, j)] = group
@@ -340,23 +266,18 @@ class BatchTofEngine:
                         coarse_round_trip_s=coarse_rts[i],
                     )
                 )
-        self._publish_warm(
-            telemetry.snapshot(n_links, hint_list), warm_stats_out
-        )
+        self._record_fista(iterations)
         return estimates
 
     def report(self) -> dict:
         """Observability snapshot: engine config + the ``engine.*`` series.
 
         The bottom rung of the uniform per-layer ``report()`` ladder
-        (engine → service → stream → loc).  ``warm_stats`` is the
-        deprecated best-effort mirror of the most recent public call;
-        the registry series are the authoritative cumulative view.
+        (engine → service → stream → loc).
         """
         return {
             "layer": "engine",
             "method": self.config.method,
-            "warm_stats": dataclasses.asdict(self.last_warm_stats),
             "metrics": REGISTRY.snapshot(prefix="engine."),
         }
 
@@ -377,32 +298,14 @@ class BatchTofEngine:
             n_links=n_links,
         )
 
-    def _publish_warm(
-        self,
-        stats: WarmStartStats,
-        warm_stats_out: list[WarmStartStats] | None,
-    ) -> None:
-        """Fan one call's warm-start telemetry to every consumer.
+    def _record_fista(self, iterations: list[int]) -> None:
+        """Fold one call's FISTA iteration counts into ``engine.*``.
 
-        Appends to the caller's ``warm_stats_out`` (the race-free
-        per-call channel), folds the counts into the ``engine.*``
-        registry series, and refreshes the deprecated
-        ``last_warm_stats`` mirror.
+        ``iterations`` holds one entry per (link, band-group) profile
+        inversion the call ran.
         """
-        if warm_stats_out is not None:
-            warm_stats_out.append(stats)
         method = self.config.method
-        REGISTRY.inc("engine.links_warm_total", stats.n_hinted, method=method)
-        REGISTRY.inc(
-            "engine.links_cold_total",
-            stats.n_links - stats.n_hinted,
-            method=method,
-        )
-        if stats.n_stale:
-            REGISTRY.inc(
-                "engine.stale_fallbacks_total", stats.n_stale, method=method
-            )
-        for n_iterations in stats.fista_iterations:
+        for n_iterations in iterations:
             REGISTRY.observe(
                 "engine.fista_iterations",
                 float(n_iterations),
@@ -412,10 +315,9 @@ class BatchTofEngine:
         # COUNT_BUCKETS tops out below the default cap, so a solve that
         # ran out of iterations is invisible in the histogram alone.
         cap = self.config.sparse.max_iterations
-        n_capped = sum(1 for n in stats.fista_iterations if n >= cap)
+        n_capped = sum(1 for n in iterations if n >= cap)
         if n_capped:
             REGISTRY.inc("engine.fista_cap_hits_total", n_capped, method=method)
-        self.last_warm_stats = stats
 
     def _estimate_group_stack(
         self,
@@ -424,58 +326,35 @@ class BatchTofEngine:
         stacked: ComplexCSIStack,
         exponent: int,
         gates: Sequence[float | None],
-        hints: Sequence[SolveHint | None] | None = None,
-        telemetry: "_WarmTelemetry | None" = None,
+        iterations: list[int],
     ) -> list[GroupEstimate]:
         """One band group for every link at once.
 
         The ista method runs one batched Algorithm 1 inversion over the
         whole stack, then applies the scalar peak/gate/refine logic per
         link.  The hybrid method runs the batched deflation kernel over
-        the stack (:meth:`_hybrid_group_stack`).  Any other method falls
-        back to the scalar group estimator link by link, riding on the
-        operator cache.
-
-        ``hints`` arrive in the raw τ domain and are scaled into this
-        group's delay domain here (``exponent × τ``).
+        the stack (:meth:`_hybrid_group_stack`).  Each profile inversion
+        appends its per-link FISTA iteration counts to ``iterations``.
         """
         est = self._estimator
         cfg = self.config
         n_links = stacked.shape[0]
-        hint_list = ensure_hints(hints, n_links)
-        telemetry = telemetry if telemetry is not None else _WarmTelemetry()
         if cfg.method == "hybrid":
             return self._hybrid_group_stack(
-                name, freqs, stacked, exponent, gates, hint_list, telemetry
+                name, freqs, stacked, exponent, gates, iterations
             )
-        if cfg.method != "ista":
-            return [
-                est._estimate_group(
-                    name, freqs, stacked[i], exponent, gates[i],
-                    hint=hint_list[i],
-                )
-                for i in range(n_links)
-            ]
         coarse_mask = est._coarse_mask(freqs)
         coarse_freqs = freqs[coarse_mask]
         coarse_stack = np.ascontiguousarray(stacked[:, coarse_mask])
         window = capped_window_s(coarse_freqs, cfg.max_profile_delay_s)
         op = get_grid_operator(coarse_freqs, window, cfg.grid_step_s)
-        scaled = [
-            h.scaled(float(exponent)) if h is not None else None
-            for h in hint_list
-        ]
-        # ista consumes hints as a FISTA seed only: the convex solve
-        # lands at the same fixed point either way (within the solver's
-        # stop tolerance), so no staleness machinery is needed.
-        initial = self._warm_initial(op, coarse_stack, scaled)
-        iterations = np.zeros(n_links, dtype=np.int64)
+        counts = np.zeros(n_links, dtype=np.int64)
         with self._kernel_span("fista", n_links):
             solutions = invert_ndft_batch(
                 coarse_stack, coarse_freqs, op.taus_s, cfg.sparse, operator=op,
-                initial=initial, iterations_out=iterations,
+                iterations_out=counts,
             )
-        telemetry.iterations.extend(int(v) for v in iterations)
+        iterations.extend(int(v) for v in counts)
         span = float(freqs.max() - freqs.min())
         groups: list[GroupEstimate] = []
         with self._kernel_span("peak_select", n_links):
@@ -505,8 +384,7 @@ class BatchTofEngine:
         stacked: ComplexCSIStack,
         exponent: int,
         gates: Sequence[float | None],
-        hints: Sequence[SolveHint | None],
-        telemetry: "_WarmTelemetry",
+        iterations: list[int],
     ) -> list[GroupEstimate]:
         """The hybrid (deflation) method over the whole stack.
 
@@ -517,11 +395,6 @@ class BatchTofEngine:
         full-aperture refit, the first-peak rule, and — when diagnostic
         profiles are requested — one batched Algorithm 1 inversion in
         place of the scalar path's per-link one.
-
-        Warm starts ride the extraction (windowed matched filter, with
-        the kernel's cold fallback for stale hints) and the diagnostic
-        profile inversion (hinted iterate, skipped for links the
-        extraction flagged stale so their profiles stay exactly cold).
         """
         est = self._estimator
         cfg = self.config
@@ -531,16 +404,10 @@ class BatchTofEngine:
         coarse_stack = np.ascontiguousarray(stacked[:, coarse_mask])
         window = capped_window_s(coarse_freqs, cfg.max_profile_delay_s)
 
-        scaled = [
-            h.scaled(float(exponent)) if h is not None else None for h in hints
-        ]
-        stale = np.zeros(n_links, dtype=bool)
         with self._kernel_span("extract", n_links):
             paths_per_link = extract_paths_batch(
-                coarse_stack, coarse_freqs, window, cfg.deflation,
-                hints=scaled, stale_out=stale,
+                coarse_stack, coarse_freqs, window, cfg.deflation
             )
-        telemetry.n_stale += int(stale.sum())
         targets = [
             gate_target_mean_s(gate, cfg.coarse_gate_margin_s, exponent)
             for gate in gates
@@ -580,18 +447,12 @@ class BatchTofEngine:
         with self._kernel_span("profile", n_links):
             if cfg.compute_profile:
                 op = get_grid_operator(coarse_freqs, window, cfg.grid_step_s)
-                # Stale-flagged links get a zero seed row, i.e. the exact
-                # cold profile — their hint already failed once this call.
-                initial = self._warm_initial(
-                    op, coarse_stack, scaled, skip=stale,
-                    fresh_paths=paths_per_link,
-                )
-                iterations = np.zeros(n_links, dtype=np.int64)
+                counts = np.zeros(n_links, dtype=np.int64)
                 solutions = invert_ndft_batch(
                     coarse_stack, coarse_freqs, op.taus_s, cfg.sparse,
-                    operator=op, initial=initial, iterations_out=iterations,
+                    operator=op, iterations_out=counts,
                 )
-                telemetry.iterations.extend(int(v) for v in iterations)
+                iterations.extend(int(v) for v in counts)
                 profiles = [
                     MultipathProfile(
                         op.taus_s,
@@ -617,80 +478,9 @@ class BatchTofEngine:
                 exponent=exponent,
                 profile=profiles[i],
                 paths=tuple(paths_per_link[i]),
-                residual_rel=paths_residual_rel(
-                    freqs, stacked[i], paths_per_link[i]
-                ),
             )
             for i in range(n_links)
         ]
-
-    @staticmethod
-    def _warm_initial(
-        op: NdftOperator,
-        coarse_stack: ComplexCSIStack,
-        scaled_hints: Sequence[SolveHint | None],
-        skip: BoolMask | None = None,
-        fresh_paths: Sequence[Sequence[RefinedPath]] | None = None,
-    ) -> ComplexProfileStack | None:
-        """Per-link FISTA seed rows from group-domain hints.
-
-        A link's candidate seeds, in precedence order: its hint's
-        profile iterate when that iterate lives on this operator's grid
-        (same length — band plan and window unchanged since the
-        previous solve); its hinted paths rasterized onto the grid; and
-        — in the hybrid path, where the hint-guided extraction has
-        already run on *this* snapshot — the freshly extracted paths.
-        The first seed explaining at least half the channel power wins
-        (one small GEMV per candidate): a link whose channel moved
-        since the hint was minted fails the first two guards (stale
-        amplitudes decorrelate across the aperture) but still warms
-        from the fresh extraction, while seeding FISTA worse than zero
-        would *add* iterations, so with every candidate rejected the
-        link silently degrades to the cold start.  Returns ``None``
-        when no link contributes a seed.
-        """
-        taus = op.taus_s
-
-        def rasterize(
-            delays: Sequence[float], amplitudes: Sequence[complex]
-        ) -> ComplexProfile:
-            seed = np.zeros(len(taus), dtype=complex)
-            for d, a in zip(delays, amplitudes, strict=True):
-                seed[int(np.argmin(np.abs(taus - d)))] += a
-            return seed
-
-        candidates: dict[int, list[ComplexProfile]] = {}
-        for i, hint in enumerate(scaled_hints):
-            if hint is None or (skip is not None and skip[i]):
-                continue
-            seeds: list[ComplexProfile] = []
-            iterate = hint.profile_iterate
-            if iterate is not None and len(iterate) == len(taus):
-                seeds.append(np.asarray(iterate, dtype=complex))
-            if hint.path_delays_s and hint.path_amplitudes:
-                seeds.append(
-                    rasterize(hint.path_delays_s, hint.path_amplitudes)
-                )
-            if fresh_paths is not None and fresh_paths[i]:
-                seeds.append(
-                    rasterize(
-                        [p.delay_s for p in fresh_paths[i]],
-                        [p.amplitude for p in fresh_paths[i]],
-                    )
-                )
-            if seeds:
-                candidates[i] = seeds
-        if not candidates:
-            return None
-        rows = np.zeros((len(scaled_hints), len(taus)), dtype=complex)
-        tot2 = np.einsum("lb,lb->l", coarse_stack, coarse_stack.conj()).real
-        for i, seeds in candidates.items():
-            for seed in seeds:
-                resid = coarse_stack[i] - op.F @ seed
-                if np.vdot(resid, resid).real <= 0.5 * tot2[i]:
-                    rows[i] = seed
-                    break
-        return rows
 
     @staticmethod
     def _check_calibrations(

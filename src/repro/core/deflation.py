@@ -29,7 +29,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.analysis.contracts import shaped
-from repro.core.hints import SolveHint
 from repro.core.ndft import get_operator, ndft_matrix, steering_vector
 from repro.core.profile import RefinedPath, _golden_max, scan_correlations
 from repro.core.typing import (
@@ -103,7 +102,6 @@ def extract_paths(
     frequencies_hz: FrequencyVector | Sequence[float],
     max_delay_s: float,
     config: DeflationConfig | None = None,
-    hint: SolveHint | None = None,
 ) -> list[RefinedPath]:
     """Greedy off-grid decomposition of ``channels`` into delay atoms.
 
@@ -112,11 +110,6 @@ def extract_paths(
         frequencies_hz: The non-uniform measurement frequencies.
         max_delay_s: Delay search window (the group's CRT-unique window).
         config: Extraction settings.
-        hint: Optional temporal prior (already scaled into this delay
-            domain): restricts the matched-filter argmax to the hint's
-            window, falling back to the cold extraction when the warm
-            residual stays above the hint's staleness bound — same
-            semantics as the batched extractor's warm path.
 
     Returns:
         Paths sorted by delay; amplitudes are the final joint-LS fit.
@@ -136,45 +129,18 @@ def extract_paths(
     # so a batch of links sharing a band plan reuses one cached matrix.
     F = get_operator(freqs, grid).F
 
-    window: tuple[int, int] | None = None
-    if hint is not None:
-        bounds = hint.window_bounds(max_delay_s)
-        if bounds is not None:
-            lo_i = int(np.searchsorted(grid, bounds[0], side="left"))
-            hi_i = int(np.searchsorted(grid, bounds[1], side="right"))
-            if hi_i - lo_i >= 3:
-                window = (lo_i, hi_i)
-
     total_power = float(np.vdot(h, h).real)
     if total_power == 0.0:
         return []
     residual = h.copy()
     delays: list[float] = []
     amps = np.zeros(0, dtype=complex)
-    for extraction_round in range(cfg.max_paths):
+    for _ in range(cfg.max_paths):
         previous_power = float(np.vdot(residual, residual).real)
         if previous_power <= cfg.residual_stop_rel * total_power:
             break
-        if extraction_round == 0:
-            # Hint verification round (mirrors the batched extractor):
-            # the first scan is full-grid either way, and a hinted
-            # window that does not contain the global argmax is
-            # contradicted by the measurement — demote to cold, which
-            # is bit-identical from here on.
-            corr = np.abs(F.conj().T @ residual)
-            idx = int(np.argmax(corr))
-            if window is not None:
-                lo_i, hi_i = window
-                if not lo_i <= idx < hi_i:
-                    window = None
-            tau0 = float(grid[idx])
-        elif window is not None:
-            lo_i, hi_i = window
-            corr = np.abs(F[:, lo_i:hi_i].conj().T @ residual)
-            tau0 = float(grid[lo_i + int(np.argmax(corr))])
-        else:
-            corr = np.abs(F.conj().T @ residual)
-            tau0 = float(grid[int(np.argmax(corr))])
+        corr = np.abs(F.conj().T @ residual)
+        tau0 = float(grid[int(np.argmax(corr))])
         tau = _polish(residual, freqs, tau0, grid_step, max_delay_s)
         candidate_delays = np.array(delays + [tau])
         A = ndft_matrix(freqs, candidate_delays)
@@ -187,10 +153,6 @@ def extract_paths(
         amps = candidate_amps
         residual = new_residual
     if not delays:
-        if window is not None:
-            # A windowed extraction that produced nothing is stale by
-            # construction; re-run cold.
-            return extract_paths(h, freqs, max_delay_s, cfg)
         # Even pure noise yields one best-matching atom; fall back to the
         # single strongest correlation so callers always get a path.
         corr = np.abs(F.conj().T @ h)
@@ -202,41 +164,6 @@ def extract_paths(
     )
     paths = [RefinedPath(float(d), complex(a)) for d, a in zip(delays, amps, strict=True)]
     paths.sort(key=lambda p: p.delay_s)
-    if window is not None:
-        # Staleness safety nets, mirroring the batched extractor,
-        # evaluated on the residual of the *final* L1-refit model — the
-        # greedy loop's joint-lstsq residual can overfit an
-        # out-of-window channel with a window's worth of alias atoms,
-        # while the L1 fit leaves the missing path's power exposed.
-        # The link re-runs cold when the windowed extraction left more
-        # than the hint's staleness bound unexplained, or when a
-        # full-grid scan of the final residual finds an out-of-window
-        # atom the cold acceptance test would have extracted.
-        A = ndft_matrix(freqs, np.array([p.delay_s for p in paths]))
-        model_residual = h - A @ np.array([p.amplitude for p in paths])
-        final_power = float(np.vdot(model_residual, model_residual).real)
-        if final_power > hint.stale_bound() * total_power:
-            return extract_paths(h, freqs, max_delay_s, cfg)
-        if final_power > cfg.residual_stop_rel * total_power:
-            corr = np.abs(F.conj().T @ model_residual)
-            idx = int(np.argmax(corr))
-            lo_i, hi_i = window
-            improvement = float(corr[idx]) ** 2 / len(h)
-            # Mirrors the batched net: out-of-window leftovers must be
-            # significant against the *total* power (noise atoms clear
-            # any residual-relative bar), while the exhausted-budget
-            # clause stays residual-relative to expose overfit windows.
-            if (
-                improvement >= cfg.min_improvement_rel * total_power
-                and not lo_i <= idx < hi_i
-            ) or (
-                improvement >= cfg.min_improvement_rel * final_power
-                and len(delays) >= cfg.max_paths
-            ):
-                # An extractable atom survives outside the window, or
-                # the window burned the whole atom budget and still
-                # left one — warm ≡ cold cannot be certified.
-                return extract_paths(h, freqs, max_delay_s, cfg)
     return paths
 
 

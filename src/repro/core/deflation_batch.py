@@ -49,11 +49,9 @@ from repro.core.deflation import (
     matched_filter_grid,
     relocate_ghost_delays,
 )
-from repro.core.hints import SolveHint, ensure_hints
 from repro.core.ndft import get_operator, ndft_matrix, steering_vector
 from repro.core.profile import RefinedPath
 from repro.core.typing import (
-    BoolMask,
     ComplexCSI,
     ComplexCSIStack,
     ComplexProfile,
@@ -71,8 +69,6 @@ def extract_paths_batch(
     frequencies_hz: FrequencyVector,
     max_delay_s: float,
     config: DeflationConfig | None = None,
-    hints: list[SolveHint | None] | None = None,
-    stale_out: BoolMask | None = None,
 ) -> list[list[RefinedPath]]:
     """Greedy off-grid decomposition of every row of ``channels``.
 
@@ -81,25 +77,11 @@ def extract_paths_batch(
     each equal (to floating-point noise) to what the scalar extractor
     returns for that row alone.
 
-    A link with a usable hint restricts its matched-filter argmax to
-    the hint's delay window — a per-link GEMV over a few hundred grid
-    points instead of a share of the full-grid GEMM — while unhinted
-    links keep the stacked full-grid scan.  When the true paths lie in
-    the window, the windowed argmax equals the global one and the warm
-    extraction is bit-identical to cold.  When they don't, the warm
-    residual stays above the hint's staleness bound and the link is
-    transparently re-extracted cold, so a stale or garbage hint yields
-    exactly the cold result, never an error.
-
     Args:
         channels: ``(n_links, n_bands)`` stacked measurements.
         frequencies_hz: The shared non-uniform measurement frequencies.
         max_delay_s: Delay search window (the group's CRT-unique window).
         config: Extraction settings, shared by every link.
-        hints: Optional per-link :class:`SolveHint`, already scaled into
-            this group's delay domain.
-        stale_out: Optional bool array of length ``n_links``; set True
-            for hinted links that fell back to the cold extraction.
 
     Returns:
         For each link, paths sorted by delay with final joint-L1
@@ -127,34 +109,11 @@ def extract_paths_batch(
     Fh = get_operator(freqs, grid).adjoint
 
     n_links = H.shape[0]
-    hint_list = ensure_hints(hints, n_links)
-    if stale_out is not None:
-        if len(stale_out) != n_links:
-            raise ValueError(
-                f"stale_out length {len(stale_out)} does not match "
-                f"{n_links} links"
-            )
-        stale_out[:] = False
-    # Grid-index windows for hinted links.  window_bounds clamps to the
-    # CRT-unique range; degenerate windows (< 3 grid points) demote the
-    # link to the cold path outright.
-    windows: list[tuple[int, int] | None] = [None] * n_links
-    for link, hint in enumerate(hint_list):
-        if hint is None:
-            continue
-        bounds = hint.window_bounds(max_delay_s)
-        if bounds is None:
-            continue
-        lo_i = int(np.searchsorted(grid, bounds[0], side="left"))
-        hi_i = int(np.searchsorted(grid, bounds[1], side="right"))
-        if hi_i - lo_i >= 3:
-            windows[link] = (lo_i, hi_i)
-
     total_power = np.einsum("lb,lb->l", H, H.conj()).real
     residual = H.copy()
     delays: list[list[float]] = [[] for _ in range(n_links)]
     active = np.flatnonzero(total_power > 0.0)
-    for extraction_round in range(cfg.max_paths):
+    for _ in range(cfg.max_paths):
         if active.size == 0:
             break
         live = residual[active]
@@ -163,52 +122,10 @@ def extract_paths_batch(
         active = active[keep]
         if active.size == 0:
             break
-        if extraction_round == 0:
-            # Hint verification round: everyone — hinted or not — scans
-            # the full grid in one GEMM (exactly the cold round).  A
-            # hinted link whose global argmax falls outside its window
-            # has a hint the measurement contradicts (an in-window fit
-            # could still reach a low residual by overfitting, so the
-            # end-of-extraction residual net alone is not enough): it
-            # is demoted to the cold path on the spot, which is
-            # bit-identical from here because this round's argmax was
-            # global regardless.
-            corr = np.abs(Fh @ residual[active].T)
-            amax = np.argmax(corr, axis=0)
-            tau0 = grid[amax]
-            for pos, link in enumerate(active):
-                win = windows[link]
-                if win is None:
-                    continue
-                lo_i, hi_i = win
-                if not lo_i <= int(amax[pos]) < hi_i:
-                    windows[link] = None
-                    if stale_out is not None:
-                        stale_out[link] = True
-        else:
-            tau0 = np.empty(active.size, dtype=float)
-            cold_pos = np.array(
-                [
-                    pos
-                    for pos, link in enumerate(active)
-                    if windows[link] is None
-                ],
-                dtype=np.intp,
-            )
-            if cold_pos.size:
-                # One GEMM scans the stack of cold residuals against the
-                # grid; each output column depends only on its own link,
-                # so hinted links leaving the stack never perturb cold
-                # values.
-                corr = np.abs(Fh @ residual[active[cold_pos]].T)
-                tau0[cold_pos] = grid[np.argmax(corr, axis=0)]
-            for pos, link in enumerate(active):
-                win = windows[link]
-                if win is None:
-                    continue
-                lo_i, hi_i = win
-                corr_w = np.abs(Fh[lo_i:hi_i] @ residual[link])
-                tau0[pos] = grid[lo_i + int(np.argmax(corr_w))]
+        # One GEMM scans the stack of residuals against the grid; each
+        # output column depends only on its own link.
+        corr = np.abs(Fh @ residual[active].T)
+        tau0 = grid[np.argmax(corr, axis=0)]
         taus = _polish_batch(
             residual[active], freqs, tau0, grid_step, max_delay_s
         )
@@ -262,97 +179,6 @@ def extract_paths_batch(
         ]
         paths.sort(key=lambda p: p.delay_s)
         results[link] = paths
-
-    # Staleness safety nets for the links still on the warm path.  Two
-    # conditions demote a link to the cold extraction:
-    #
-    # 1. Unexplained power: the windowed extraction left more than the
-    #    hint's staleness bound of the channel power in the residual
-    #    (fallback-atom links land here too, their residual being the
-    #    whole channel).
-    # 2. Incompleteness: one full-grid scan of the *final* residual (a
-    #    single GEMM over the warm links) finds its global argmax
-    #    outside the window with a single-atom improvement the cold
-    #    extractor's own acceptance test would take — the window hid an
-    #    extractable atom.  This catches the overfit case where enough
-    #    in-window atoms push the residual below net 1 while a true
-    #    out-of-window path goes missing.
-    warm_links = [
-        link
-        for link in range(n_links)
-        if windows[link] is not None and total_power[link] > 0.0
-    ]
-    stale: list[int] = []
-    if warm_links:
-        # The residual of the *final* (L1-refit) model, not the greedy
-        # loop's joint-lstsq residual: a dozen atoms crammed into the
-        # window can lstsq-overfit an out-of-window channel well below
-        # any sane bound, while the L1 fit concentrates mass and leaves
-        # the missing path's power exposed.
-        model_residual = np.stack(
-            [
-                H[link]
-                - ndft_matrix(
-                    freqs, np.array([p.delay_s for p in results[link]])
-                )
-                @ np.array([p.amplitude for p in results[link]])
-                if results[link]
-                else H[link]
-                for link in warm_links
-            ]
-        )
-        res_power = np.einsum(
-            "lb,lb->l", model_residual, model_residual.conj()
-        ).real
-        corr_final = np.abs(Fh @ model_residual.T)
-        peak_idx = np.argmax(corr_final, axis=0)
-        peak_val = corr_final[peak_idx, np.arange(len(warm_links))]
-        n_bands = H.shape[1]
-        for pos, link in enumerate(warm_links):
-            # warm_links requires windows[link] is not None, and a window
-            # is only ever set for a link whose hint is not None.
-            hint = hint_list[link]
-            win = windows[link]
-            assert hint is not None and win is not None
-            if res_power[pos] > hint.stale_bound() * total_power[link]:
-                stale.append(link)
-                continue
-            if res_power[pos] <= cfg.residual_stop_rel * total_power[link]:
-                continue  # at the noise floor: extraction was complete
-            lo_i, hi_i = win
-            idx = int(peak_idx[pos])
-            improvement = float(peak_val[pos]) ** 2 / n_bands
-            # Out-of-window leftovers are judged against the *total*
-            # channel power: once the residual is noise, its best atom
-            # trivially clears a residual-relative bar at some random
-            # delay, and a residual-relative test would demote nearly
-            # every warm link under measurement noise.  A real missed
-            # path must carry ToF-relevant power — at the first-peak
-            # rule's 0.25 amplitude floor that is ≈ min_improvement_rel
-            # of the total.  The budget clause keeps the stricter
-            # residual-relative test: a wrong window that crams alias
-            # atoms and exhausts the budget hides its missed path *in*
-            # the overfit residual, which is exactly the scale that
-            # exposes it.
-            if (
-                improvement >= cfg.min_improvement_rel * total_power[link]
-                and not lo_i <= idx < hi_i
-            ) or (
-                improvement >= cfg.min_improvement_rel * res_power[pos]
-                and len(delays[link]) >= cfg.max_paths
-            ):
-                # An extractable atom survives: either it sits outside
-                # the window (the window hid it), or the window burned
-                # the whole atom budget and still left one (a wrong
-                # window crams alias atoms and runs out).  Either way
-                # warm ≡ cold cannot be certified — re-run cold.
-                stale.append(link)
-    if stale:
-        cold = extract_paths_batch(H[stale], freqs, max_delay_s, cfg)
-        for pos, link in enumerate(stale):
-            results[link] = cold[pos]
-            if stale_out is not None:
-                stale_out[link] = True
     return results
 
 

@@ -75,9 +75,8 @@ class MultipathProfile:
                 f"{dominance_threshold_rel}"
             )
         self.taus_s = taus
-        # The complex profile is retained alongside the power view: it
-        # is the L1 iterate that seeds the next solve's warm-started
-        # FISTA (power alone cannot — phase is lost).
+        # The complex L1 solution is kept alongside the power view,
+        # which loses the phase.
         self.amplitudes = np.asarray(amps, dtype=complex)
         self.power = np.abs(amps) ** 2
         self.dominance_threshold_rel = dominance_threshold_rel

@@ -148,7 +148,6 @@ def invert_ndft_batch(
     taus_s: DelayVector | Sequence[float],
     config: SparseSolverConfig | None = None,
     operator: NdftOperator | None = None,
-    initial: ComplexProfileStack | None = None,
     iterations_out: IndexVector | None = None,
 ) -> ComplexProfileStack:
     """Algorithm 1 for a stack of links sharing one frequency set.
@@ -167,24 +166,12 @@ def invert_ndft_batch(
     the scalar loop would have produced for it, just computed in
     lockstep.
 
-    Warm starts: a non-zero row of ``initial`` seeds that link's
-    iterate (a temporal prior from the link's previous solve) and opts
-    the link into *extra* convergence tests on the iterations between
-    regular checks, so an already-converged seed freezes after a single
-    step instead of riding out the check cadence.  All-zero rows are
-    exactly the cold start: every GEMM, threshold, restart and stop test
-    here is link-independent, so cold links in a mixed batch follow the cold
-    trajectory bit for bit, and a warm link behaves identically whether
-    solved alone or stacked with cold ones.
-
     Args:
         channels: ``(n_links, n_frequencies)`` stacked measurements.
         frequencies_hz: The shared non-uniform measurement frequencies.
         taus_s: Candidate-delay grid shared by every link.
         config: Solver settings (shared).
         operator: Precomputed operator; fetched from the cache if None.
-        initial: Optional ``(n_links, len(taus_s))`` starting iterates;
-            all-zero rows start cold.
         iterations_out: Optional int array of length ``n_links``;
             filled with the iteration at which each link froze (0 for
             links whose threshold ``γα_i`` is zero, such as an all-zero
@@ -230,13 +217,6 @@ def invert_ndft_batch(
     n_links = H_rows.shape[0]
     n_bands = len(freqs)
     m = len(taus)
-    if initial is not None:
-        initial = np.asarray(initial, dtype=complex)
-        if initial.shape != (n_links, m):
-            raise ValueError(
-                f"initial iterates shape {initial.shape} does not match "
-                f"({n_links}, {m})"
-            )
     if iterations_out is not None:
         if len(iterations_out) != n_links:
             raise ValueError(
@@ -258,12 +238,7 @@ def invert_ndft_batch(
     thr = thresholds[active, None]
     tol2 = cfg.tolerance_rel**2
     n_active = active.size
-    if initial is not None:
-        P = np.ascontiguousarray(initial[active])
-        warm = np.any(P != 0.0, axis=1)
-    else:
-        P = np.zeros((n_active, m), dtype=complex)
-        warm = np.zeros(n_active, dtype=bool)
+    P = np.zeros((n_active, m), dtype=complex)
     # Per-link FISTA state: the extrapolated point y (plain ISTA steps
     # from P instead) and the momentum age indexing the shared weight
     # table.  A link that never restarts has age ``iteration - 1``: the
@@ -296,18 +271,6 @@ def invert_ndft_batch(
             done = step2 < tol2 * scale2
             if cfg.accelerated:
                 _restart_rows(Y, Z, diff, age, n_bands)
-        elif warm.any():
-            # Off-cadence stop test for warm links only: a seed that
-            # arrives converged should freeze at iteration 1, not wait
-            # out check_every.  Cold links are never tested (let alone
-            # frozen) here, preserving their cold trajectory.
-            w = np.flatnonzero(warm)
-            dw = diff[w]
-            pw = Z[w]
-            step2_w = _row_dots(dw, dw)
-            scale2_w = np.maximum(_row_dots(pw, pw), 1e-60)
-            done = np.zeros(active.size, dtype=bool)
-            done[w[step2_w < tol2 * scale2_w]] = True
         if cfg.accelerated:
             np.multiply(diff, weights[age][:, None], out=diff)
             np.add(Z, diff, out=Y)
@@ -327,7 +290,6 @@ def invert_ndft_batch(
             Y = Y[keep]
             H_a = H_a[keep]
             thr = thr[keep]
-            warm = warm[keep]
             age = age[keep]
             residual = np.empty((active.size, n_bands), dtype=complex)
             Z = np.empty((active.size, m), dtype=complex)

@@ -36,7 +36,6 @@ from repro.core.deflation import (
     lasso_amplitudes,
     prune_ghost_atoms,
 )
-from repro.core.hints import SolveHint
 from repro.core.ndft import (
     capped_window_s,
     get_grid_operator,
@@ -138,39 +137,13 @@ class TofEstimatorConfig:
             )
 
 
-def paths_residual_rel(
-    freqs: FrequencyVector,
-    products: ComplexCSI,
-    paths: list[RefinedPath] | tuple[RefinedPath, ...],
-) -> float | None:
-    """Relative residual power of a path model against the raw products.
-
-    The staleness yardstick recorded on :class:`GroupEstimate` — one
-    small NDFT synthesis per group, noise next to the solves.  ``None``
-    when the model is empty or the channel has no power.
-    """
-    if not paths:
-        return None
-    h = np.asarray(products, dtype=complex)
-    total = float(np.vdot(h, h).real)
-    if total == 0.0:
-        return None
-    A = ndft_matrix(
-        np.asarray(freqs, dtype=float),
-        np.array([p.delay_s for p in paths], dtype=float),
-    )
-    r = h - A @ np.array([p.amplitude for p in paths], dtype=complex)
-    return float(np.vdot(r, r).real / total)
-
-
 @dataclass(frozen=True)
 class GroupEstimate:
     """One band-group's contribution to the fused ToF.
 
-    ``paths`` and ``residual_rel`` are populated by the hybrid method
-    (the deflation extraction's atoms and its final relative residual
-    power); they feed :meth:`TofEstimate.solve_hint` so the next solve
-    on the same link can warm-start.
+    ``paths`` holds the hybrid method's extracted atoms after ghost
+    pruning and the full-aperture refit, the candidates its first-path
+    rule chose from; the ista method leaves it empty.
     """
 
     name: str
@@ -180,7 +153,6 @@ class GroupEstimate:
     exponent: int
     profile: MultipathProfile
     paths: tuple[RefinedPath, ...] = ()
-    residual_rel: float | None = None
 
 
 @dataclass(frozen=True)
@@ -220,41 +192,6 @@ class TofEstimate:
         """Delay-axis scale of :attr:`profile`."""
         primary = max(self.groups, key=lambda g: g.span_hz)
         return primary.exponent
-
-    def solve_hint(self) -> SolveHint | None:
-        """A warm-start prior for the link's *next* solve.
-
-        Built from the primary group: path delays/amplitudes mapped
-        back to the raw τ domain, the raw ToF as the predicted delay,
-        the extraction residual as the staleness yardstick, and the L1
-        profile iterate (group delay domain) as the FISTA seed.  An
-        estimate with no extracted paths (ista method) still hints its
-        profile iterate — the convex solve warm-starts from it even
-        without a deflation window.  Returns ``None`` only when there
-        is neither (a degenerate solve).
-        """
-        primary = max(self.groups, key=lambda g: g.span_hz)
-        if not primary.paths:
-            iterate = getattr(primary.profile, "amplitudes", None)
-            if iterate is None:
-                return None
-            return SolveHint(
-                predicted_delay_s=self.raw_tof_s,
-                prior_residual_rel=primary.residual_rel,
-                profile_iterate=iterate,
-            )
-        exp = float(primary.exponent)
-        pairs = sorted(
-            ((p.delay_s / exp, complex(p.amplitude)) for p in primary.paths),
-            key=lambda pair: pair[0],
-        )
-        return SolveHint(
-            path_delays_s=tuple(d for d, _ in pairs),
-            path_amplitudes=tuple(a for _, a in pairs),
-            predicted_delay_s=self.raw_tof_s,
-            prior_residual_rel=primary.residual_rel,
-            profile_iterate=getattr(primary.profile, "amplitudes", None),
-        )
 
 
 class TofEstimator:
@@ -304,16 +241,11 @@ class TofEstimator:
         frequencies_hz: FrequencyVector | Sequence[float],
         products: ComplexCSI | Sequence[complex],
         exponent: int = 2,
-        hint: SolveHint | None = None,
     ) -> TofEstimate:
         """Estimate ToF from already-computed band products.
 
         Used by unit tests and by benchmarks that replay the paper's
-        worked examples without simulating packets.  ``hint`` carries a
-        raw-τ-domain temporal prior from the link's previous solve (see
-        :class:`~repro.core.hints.SolveHint`); the hybrid method then
-        warm-starts its delay search, falling back to the cold solve
-        when the hint turns out stale.
+        worked examples without simulating packets.
         """
         freqs = np.asarray(frequencies_hz, dtype=float)
         stacked = np.asarray(products, dtype=complex)
@@ -329,9 +261,7 @@ class TofEstimator:
                 f"products have {stacked.shape[0]} bands but "
                 f"{len(freqs)} frequencies were given"
             )
-        group = self._estimate_group(
-            "direct", freqs, stacked, exponent, None, hint=hint
-        )
+        group = self._estimate_group("direct", freqs, stacked, exponent, None)
         raw = group.tof_s
         return TofEstimate(
             tof_s=self.calibration.apply(raw),
@@ -446,7 +376,6 @@ class TofEstimator:
         products: ComplexCSI,
         exponent: int,
         gate_s: float | None,
-        hint: SolveHint | None = None,
     ) -> GroupEstimate:
         """Coarse sparse inversion + full-aperture off-grid refinement.
 
@@ -465,14 +394,9 @@ class TofEstimator:
         coarse_freqs = freqs[coarse_mask]
         coarse_products = products[coarse_mask]
         window = capped_window_s(coarse_freqs, self.config.max_profile_delay_s)
-        scaled_hint = hint.scaled(float(exponent)) if hint is not None else None
         if self.config.method == "hybrid":
             paths = extract_paths(
-                coarse_products,
-                coarse_freqs,
-                window,
-                self.config.deflation,
-                hint=scaled_hint,
+                coarse_products, coarse_freqs, window, self.config.deflation
             )
             target_mean = gate_target_mean_s(
                 gate_s, self.config.coarse_gate_margin_s, exponent
@@ -501,12 +425,10 @@ class TofEstimator:
                 window, coarse_freqs, coarse_products, paths
             )
             final_paths = tuple(paths)
-            residual_rel = paths_residual_rel(freqs, products, paths)
         else:
             profile = self._ista_profile(window, coarse_freqs, coarse_products)
             delay = self._ista_delay(profile, freqs, products, gate_s)
             final_paths = ()
-            residual_rel = None
         span = float(freqs.max() - freqs.min())
         return GroupEstimate(
             name=name,
@@ -516,7 +438,6 @@ class TofEstimator:
             exponent=exponent,
             profile=profile,
             paths=final_paths,
-            residual_rel=residual_rel,
         )
 
     def _ista_profile(

@@ -543,7 +543,6 @@ def run_streaming_tracking_experiment(
     outlier_probability: float = 0.1,
     seed: int = 47,
     estimator_config: TofEstimatorConfig | None = None,
-    warm_start: bool = False,
 ) -> StreamingTrackingResult:
     """Stream ``n_links`` moving links through the ranging subsystem.
 
@@ -556,12 +555,6 @@ def run_streaming_tracking_experiment(
     :class:`~repro.stream.service.StreamingRangingService`, so the
     micro-batcher coalesces each tick's arrivals into one engine call,
     and a :class:`~repro.stream.tracker.TrackerBank` smooths each link.
-
-    With ``warm_start=True`` the service closes the temporal loop: each
-    link's previous solve (cached as a
-    :class:`~repro.core.hints.SolveHint`) and the shared tracker bank's
-    predictions seed the next tick's solve, exercising the Δ-solve path
-    end to end on the same moving-fleet scenario.
     """
     from repro.core.ndft import steering_vector
     from repro.net.service import RangingRequest
@@ -621,11 +614,7 @@ def run_streaming_tracking_experiment(
         # gate floor is what rejects the meters-late blocked sweeps.
         TrackerConfig(measurement_sigma_m=0.01, process_accel_sigma_mps2=1.0)
     )
-    service = StreamingRangingService(
-        cfg,
-        StreamConfig(max_wait_s=1e-3, warm_start=warm_start),
-        trackers=trackers,
-    )
+    service = StreamingRangingService(cfg, StreamConfig(max_wait_s=1e-3))
     session = StreamSession(service, trackers, coalesce_window_s=5e-3)
     try:
         points = session.run(arrivals)

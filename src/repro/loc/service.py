@@ -47,7 +47,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.hints import SolveHint
 from repro.core.localization import GeometryDrop, LocalizationResult, locate_transmitter
 from repro.core.localization_batch import locate_transmitter_batch
 from repro.core.tof import TofEstimatorConfig
@@ -60,7 +59,6 @@ from repro.obs import (
     timed_span,
     trace,
 )
-from repro.rf.constants import SPEED_OF_LIGHT
 from repro.rf.geometry import Point
 from repro.stream.service import (
     StreamConfig,
@@ -378,9 +376,6 @@ class LocalizationService:
         REGISTRY.observe(
             "loc.fanout_links", float(len(requests)), buckets=COUNT_BUCKETS
         )
-        requests = self._with_predicted_delays(
-            client_id, list(requests), client_anchors, time_s
-        )
         responses = await asyncio.gather(
             *(self._submit_one(request) for request in requests)
         )
@@ -523,52 +518,6 @@ class LocalizationService:
     # ------------------------------------------------------------------
     def _submit_one(self, request: RangingRequest | SweepRequest):
         return self.ranging.submit(request)
-
-    def _with_predicted_delays(
-        self,
-        client_id: str,
-        requests: list[RangingRequest | SweepRequest],
-        client_anchors: list[Point],
-        time_s: float | None,
-    ) -> list[RangingRequest | SweepRequest]:
-        """Thread the client's track prediction into its anchor requests.
-
-        With warm-start streaming on and a position track available,
-        each anchor's request gains a paths-less
-        :class:`~repro.core.hints.SolveHint` whose predicted delay is
-        the track-predicted anchor distance (plus the link's
-        calibration bias — hints live in the raw τ domain).  The
-        streaming layer merges it with the link's cached last-solve
-        paths; alone it is inert, so a client without ranging history
-        behaves exactly as before.  Requests already carrying a hint
-        pass through untouched.
-        """
-        if (
-            self.trackers is None
-            or time_s is None
-            or not getattr(self.ranging.stream_config, "warm_start", False)
-        ):
-            return requests
-        predicted = self.trackers.position_hint(client_id, time_s)
-        if predicted is None:
-            return requests
-        out: list[RangingRequest | SweepRequest] = []
-        for request, anchor in zip(requests, client_anchors, strict=True):
-            if request.hint is not None:
-                out.append(request)
-                continue
-            bias = (
-                request.calibration.tof_bias_s
-                if request.calibration is not None
-                else 0.0
-            )
-            delay = predicted.distance_to(anchor) / SPEED_OF_LIGHT + bias
-            out.append(
-                dataclasses.replace(
-                    request, hint=SolveHint(predicted_delay_s=max(delay, 0.0))
-                )
-            )
-        return out
 
     async def _solve(
         self,

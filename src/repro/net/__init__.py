@@ -15,7 +15,6 @@ per-link workloads sit one layer up, in :mod:`repro.stream`, whose
 micro-batcher coalesces concurrent streams into this facade's batches.
 """
 
-from repro.core.hints import SolveHint
 from repro.net.service import (
     LinkRequest,
     RangingRequest,
@@ -32,7 +31,6 @@ __all__ = [
     "RangingResponse",
     "RangingService",
     "ServiceStats",
-    "SolveHint",
     "TcpConfig",
     "TcpFlowSimulation",
     "TcpTrace",

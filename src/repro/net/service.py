@@ -26,7 +26,6 @@ import numpy as np
 
 from repro.core.batch import BatchTofEngine, unsolvable_reason
 from repro.core.cfo import LinkCalibration
-from repro.core.hints import SolveHint
 from repro.core.tof import TofEstimate, TofEstimatorConfig
 from repro.obs import REGISTRY, timed_span
 
@@ -69,28 +68,18 @@ class LinkRequest:
 
     Attributes:
         link_id: Caller's identifier, echoed in the response.
-        hint: Optional :class:`~repro.core.hints.SolveHint` — a
-            temporal prior (previous paths, tracker-predicted delay, in
-            the raw τ domain) threaded down to the engine's warm-start
-            path.  Advisory: a stale hint degrades to the cold solve.
         metadata: Opaque caller payload, ignored by every serving
             layer and echoed nowhere — a place for request correlation
             ids and the like.
     """
 
     link_id: str
-    hint: SolveHint | None = field(default=None, kw_only=True)
     metadata: Any = field(default=None, kw_only=True)
 
     def __post_init__(self) -> None:
         if not isinstance(self.link_id, str) or not self.link_id:
             raise ValueError(
                 f"link_id must be a non-empty string, got {self.link_id!r}"
-            )
-        if self.hint is not None and not isinstance(self.hint, SolveHint):
-            raise TypeError(
-                f"request {self.link_id!r}: hint must be a SolveHint, "
-                f"got {type(self.hint).__name__}"
             )
 
     def plan_signature(self) -> object:
@@ -447,19 +436,11 @@ class RangingService:
         calibrations = [
             requests[i].calibration or LinkCalibration() for i in shard
         ]
-        hints = [requests[i].hint for i in shard]
-        kwargs: dict[str, Any] = {}
-        if any(h is not None for h in hints):
-            # Only pass the keyword when a hint is actually present, so
-            # injected test engines with the pre-hint signature keep
-            # working on hint-free traffic.
-            kwargs["hints"] = hints
         estimates = self.engine.estimate_products_batch(
             first.frequencies_hz,
             stacked,
             exponent=first.exponent,
             calibrations=calibrations,
-            **kwargs,
         )
         return [
             RangingResponse(link_id=requests[i].link_id, estimate=estimate)

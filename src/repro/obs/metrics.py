@@ -1,8 +1,8 @@
 """Thread-safe metrics registry: counters, gauges, histograms.
 
 The serving stack (engine → service → stream → loc) previously exposed
-only last-call snapshot dataclasses (``ServiceStats``, ``StreamStats``,
-``WarmStartStats``) — overwritten per call, racy under the concurrent
+only last-call snapshot dataclasses (``ServiceStats``,
+``StreamStats``) — overwritten per call, racy under the concurrent
 flush pool, and never exported.  This registry is the cumulative,
 process-wide complement: every layer publishes named series
 (``engine.solve_s``, ``stream.queue_wait_s``, ...) with low-cardinality

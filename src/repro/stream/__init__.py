@@ -16,7 +16,6 @@ closed loop, many-client deployments):
   mac.sim-scheduled sweep arrivals through service and trackers.
 """
 
-from repro.core.hints import SolveHint
 from repro.net.service import LinkRequest, RangingRequest, RangingResponse
 from repro.stream.client import StreamClient
 from repro.stream.service import (
@@ -45,7 +44,6 @@ __all__ = [
     "LinkTracker",
     "RangingRequest",
     "RangingResponse",
-    "SolveHint",
     "StreamClient",
     "StreamConfig",
     "StreamSession",

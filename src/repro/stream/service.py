@@ -41,13 +41,10 @@ import asyncio
 import dataclasses
 import threading
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Sequence
 
 from repro.core.cfo import LinkCalibration
-from repro.core.hints import SolveHint
 from repro.core.tof import TofEstimatorConfig
 from repro.net.service import (
     ISOLATED_LINK_ERRORS,
@@ -65,7 +62,6 @@ from repro.obs import (
     timed_span,
     trace,
 )
-from repro.stream.tracker import TrackerBank
 from repro.wifi.csi import CsiSweep
 
 
@@ -87,16 +83,6 @@ class StreamConfig:
             the *next* batch, timers keep firing, and other protocol
             work proceeds.  ``False`` restores the inline solve
             (useful for deterministic single-threaded debugging).
-        warm_start: Source :class:`~repro.core.hints.SolveHint` priors
-            for hint-less submissions at enqueue time — from the last
-            resolved estimate of the same link (cached per link id)
-            and, when a :class:`~repro.stream.tracker.TrackerBank` is
-            attached to the service, from the link's clamped track
-            prediction.  Zero caller API changes: requests that already
-            carry a hint with paths pass through untouched, and a
-            stale or wrong sourced hint degrades to the cold solve in
-            the engine.  Off by default (cold solves, the pre-warm
-            behavior, bit for bit).
         flush_workers: Width of the band-plan-keyed flush pool.  Each
             flush is partitioned into its plan groups (one per product
             band plan, one per sweep-structure signature) and every
@@ -119,7 +105,6 @@ class StreamConfig:
     max_wait_s: float = 2e-3
     max_batch_links: int = 256
     offload_flush: bool = True
-    warm_start: bool = False
     flush_workers: int = 4
     serve_port: int | None = None
 
@@ -148,7 +133,7 @@ class SweepRequest(LinkRequest):
     a sweep request runs the complete estimator front end per link —
     coarse slope gating, per-group product averaging, group fusion —
     via the engine's batched sweep path.  The shared request envelope
-    (link id, warm-start ``hint``, ``metadata``) comes from
+    (link id, metadata) comes from
     :class:`~repro.net.service.LinkRequest`.
     """
 
@@ -238,28 +223,16 @@ class StreamingRangingService:
         stream: Micro-batching policy.
         service: Injectable backing service (tests pass instrumented
             ones); overrides ``config``.
-        trackers: Optional link-tracker bank.  With
-            ``stream.warm_start`` on, each hint-less submission is
-            enriched with the link's clamped track prediction (the
-            caller keeps the bank updated; the service only reads).
     """
-
-    _MAX_CACHED_HINTS = 4096
 
     def __init__(
         self,
         config: TofEstimatorConfig | None = None,
         stream: StreamConfig | None = None,
         service: RangingService | None = None,
-        trackers: TrackerBank | None = None,
     ):
         self.service = service or RangingService(config)
         self.stream_config = stream or StreamConfig()
-        self.trackers = trackers
-        # Last resolved solve's hint per link id, LRU-bounded the same
-        # way the tracker banks bound their fleets.  Only populated
-        # (and only read) when warm_start is on.
-        self._hints: dict[str, SolveHint] = {}
         self._pending: list[_Pending] = []
         self._flush_handle: asyncio.TimerHandle | asyncio.Handle | None = None
         self._flush_loop: asyncio.AbstractEventLoop | None = None
@@ -334,21 +307,6 @@ class StreamingRangingService:
         with trace.span("stream.submit", link=request.link_id):
             return await self._enqueue(request)
 
-    async def submit_sweeps(
-        self,
-        link_id: str,
-        sweeps: Sequence[CsiSweep],
-        calibration: LinkCalibration | None = None,
-    ) -> RangingResponse:
-        """Deprecated alias: build a :class:`SweepRequest`, :meth:`submit` it."""
-        warnings.warn(
-            "StreamingRangingService.submit_sweeps is deprecated; build a "
-            "SweepRequest and pass it to submit()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return await self.submit(SweepRequest(link_id, tuple(sweeps), calibration))
-
     async def drain(self) -> None:
         """Flush anything pending now instead of waiting out the window.
 
@@ -399,7 +357,6 @@ class StreamingRangingService:
     async def _enqueue(
         self, request: RangingRequest | SweepRequest
     ) -> RangingResponse:
-        request = self._with_hint(request)
         loop = asyncio.get_running_loop()
         if self._flush_handle is not None and self._flush_loop is not loop:
             # A previous loop died (asyncio.run torn down mid-window)
@@ -432,67 +389,6 @@ class StreamingRangingService:
         if self._flush_handle is not None:
             self._flush_handle.cancel()
             self._flush_handle = None
-
-    # ------------------------------------------------------------------
-    # Warm-start hint sourcing
-    # ------------------------------------------------------------------
-    def _with_hint(
-        self, request: RangingRequest | SweepRequest
-    ) -> RangingRequest | SweepRequest:
-        """The request, enriched with a warm-start prior when possible.
-
-        Priority: an explicit hint with paths always wins (pass
-        through untouched); then the tracker bank's clamped prediction
-        (or the explicit hint's predicted delay, e.g. set by the
-        localization layer) refines the cached last-solve hint; a
-        cached hint alone still warms; prediction alone rides as a
-        paths-less hint (inert in the kernels until paths exist).
-
-        Hints live in the raw τ domain while trackers smooth
-        *calibrated* ToF, so the link's ``tof_bias_s`` is added back
-        to the prediction here.
-        """
-        if not self.stream_config.warm_start:
-            return request
-        explicit = request.hint
-        if explicit is not None and explicit.has_paths:
-            return request
-        predicted = explicit.predicted_delay_s if explicit is not None else None
-        if predicted is None and self.trackers is not None:
-            calibrated = self.trackers.predicted_tof_s(request.link_id)
-            if calibrated is not None:
-                bias = (
-                    request.calibration.tof_bias_s
-                    if request.calibration is not None
-                    else 0.0
-                )
-                predicted = calibrated + bias
-        cached = self._hints.get(request.link_id)
-        if cached is not None:
-            hint = (
-                cached
-                if predicted is None
-                else dataclasses.replace(cached, predicted_delay_s=predicted)
-            )
-        elif explicit is not None:
-            return request  # keep the caller's paths-less hint as is
-        elif predicted is not None:
-            hint = SolveHint(predicted_delay_s=predicted)
-        else:
-            return request
-        return dataclasses.replace(request, hint=hint)
-
-    def _remember_hint(self, link_id: str, response: RangingResponse) -> None:
-        """Cache the solve's hint for the link's next submission."""
-        if not response.ok:
-            return
-        hint = response.estimate.solve_hint()
-        if hint is None:
-            return
-        self._hints.pop(link_id, None)
-        self._hints[link_id] = hint  # (re)insert at LRU back
-        while len(self._hints) > self._MAX_CACHED_HINTS:
-            del self._hints[next(iter(self._hints))]
 
     def _flush(self) -> None:
         """Run every pending request through the batched back end.
@@ -846,17 +742,9 @@ class StreamingRangingService:
     def _solve_sweep_batch(
         self, requests: list[SweepRequest]
     ) -> list[RangingResponse]:
-        hints = [request.hint for request in requests]
-        kwargs: dict[str, Any] = {}
-        if any(h is not None for h in hints):
-            # Keyword only when a hint is present, so injected test
-            # engines with the pre-hint signature keep working on
-            # hint-free traffic.
-            kwargs["hints"] = hints
         estimates = self.engine.estimate_sweeps_batch(
             [request.sweeps for request in requests],
             [request.calibration or LinkCalibration() for request in requests],
-            **kwargs,
         )
         return [
             RangingResponse(link_id=request.link_id, estimate=estimate)
@@ -886,13 +774,7 @@ class StreamingRangingService:
         forever.  The tail now resolves to error-carrying responses
         (counted in ``n_failed``) so a truncating backend degrades into
         per-link failures instead of a hang.
-
-        With ``warm_start`` on, this is also where the loop closes:
-        each ok estimate's :meth:`~repro.core.tof.TofEstimate.solve_hint`
-        is cached for the link's next submission.  Runs on the event
-        loop (after the executor ``await``), so the cache needs no lock.
         """
-        warm = self.stream_config.warm_start
         n_failed = 0
         # Deliberately non-strict: a misbehaving backend may return a
         # short (or long) response list — the unmatched tail is resolved
@@ -900,8 +782,6 @@ class StreamingRangingService:
         for p, response in zip(pending, responses, strict=False):
             if not response.ok:
                 n_failed += 1
-            elif warm:
-                self._remember_hint(p.request.link_id, response)
             if not p.future.done() and not p.future.get_loop().is_closed():
                 p.future.set_result(response)
         for p in pending[len(responses):]:

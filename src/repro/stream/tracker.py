@@ -70,12 +70,10 @@ class TrackerConfig:
             radial velocity.
         max_range_m: Physical ceiling on *predicted* ranges.  A track
             coasting on a stale velocity extrapolates linearly without
-            bound; predictions feed warm-start hints (and operator
-            displays), so they are clamped to ``[0, max_range_m]`` —
+            bound, so predictions are clamped to ``[0, max_range_m]`` —
             the filter state itself is never touched.  The default is
             the CRT-unique window of the 5 GHz subset (~200 ns ≈ 60 m
-            round-trip) with headroom: beyond it a hinted delay is
-            unusable anyway.
+            round-trip) with headroom.
     """
 
     measurement_sigma_m: float = 0.05
@@ -223,25 +221,13 @@ class LinkTracker:
 
         Clamped to ``[0, max_range_m]``: a track coasting on a stale
         velocity extrapolates linearly and a long-enough gap would
-        predict a negative or physically absurd range — which, fed
-        into a warm-start hint, would aim the solver's delay window at
-        garbage.  The clamp bounds the prediction, never the state.
+        predict a negative or physically absurd range.  The clamp
+        bounds the prediction, never the state.
         """
         self._require_initialized()
         dt = time_s - self._time_s
         raw = float(self._x[0] + dt * self._x[1]) * SPEED_OF_LIGHT
         return min(max(raw, 0.0), self.config.max_range_m)
-
-    def predicted_tof_s(self, time_s: float | None = None) -> float:
-        """ToF extrapolated to ``time_s`` (default: the last tick).
-
-        The warm-start hint source: same clamped extrapolation as
-        :meth:`predicted_range_m`, in the filter's own domain.
-        """
-        self._require_initialized()
-        if time_s is None:
-            time_s = self._time_s
-        return self.predicted_range_m(time_s) / SPEED_OF_LIGHT
 
     # ------------------------------------------------------------------
     # Updates
@@ -521,20 +507,6 @@ class TrackerBank(EvictingBankBase):
         state = self.tracker(link_id).update(tof_s, time_s)
         self._touch(link_id, time_s)
         return state
-
-    def predicted_tof_s(
-        self, link_id: str, time_s: float | None = None
-    ) -> float | None:
-        """The link's clamped ToF prediction, or ``None`` without a track.
-
-        The streaming service's warm-start path calls this per enqueue;
-        an absent or not-yet-initialized link yields ``None`` (no hint)
-        rather than an error, and the lookup never creates a tracker.
-        """
-        tracker = self._trackers.get(link_id)
-        if tracker is None or not tracker.initialized:
-            return None
-        return tracker.predicted_tof_s(time_s)
 
     def states(self) -> dict[str, TrackState]:
         """Last reported state of every initialized tracker."""

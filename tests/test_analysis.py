@@ -1,4 +1,4 @@
-"""The repo-native static-analysis engine (REP001–REP007) and its CLI.
+"""The repo-native static-analysis engine (REP001–REP004, REP006, REP007) and its CLI.
 
 Every rule is pinned with at least one violating and one clean fixture
 snippet, suppression (``# noqa: REPxxx``) is honored, the CLI exit-code
@@ -296,32 +296,6 @@ class TestRep004UnitSuffix:
         assert diags == []
 
 
-class TestRep005DeprecatedApi:
-    def test_call_flagged(self, tmp_path):
-        diags = _check_snippet(
-            tmp_path,
-            """
-            async def run(service, sweeps):
-                return await service.submit_sweeps("link", sweeps)
-            """,
-            select=["REP005"],
-        )
-        assert _codes(diags) == ["REP005"]
-        assert "SweepRequest" in diags[0].message
-
-    def test_definition_not_flagged(self, tmp_path):
-        diags = _check_snippet(
-            tmp_path,
-            """
-            class Service:
-                async def submit_sweeps(self, link_id, sweeps):
-                    return await self.submit(sweeps)
-            """,
-            select=["REP005"],
-        )
-        assert diags == []
-
-
 class TestRep006NdarrayContract:
     def test_bare_param_and_return_flagged_in_core(self, tmp_path):
         diags = _check_snippet(
@@ -512,7 +486,7 @@ class TestSuppression:
             import time
 
             async def flush():
-                time.sleep(0.01)  # noqa: REP005
+                time.sleep(0.01)  # noqa: REP003
             """,
             select=["REP001"],
         )
@@ -551,7 +525,7 @@ class TestEngine:
     def test_every_checker_registered_once(self):
         codes = [c.code for c in ALL_CHECKERS]
         assert codes == sorted(codes)
-        assert len(set(codes)) == len(codes) == 7
+        assert len(set(codes)) == len(codes) == 6
 
     def test_source_file_parse_indexes_comments_not_strings(self, tmp_path):
         path = tmp_path / "s.py"
@@ -587,7 +561,7 @@ class TestCli:
         (tmp_path / "bad.py").write_text(
             "import time\n\nasync def f():\n    time.sleep(1)\n"
         )
-        assert cli_main(["check", "--select", "REP005", str(tmp_path)]) == 0
+        assert cli_main(["check", "--select", "REP003", str(tmp_path)]) == 0
 
     def test_list_rules(self, capsys):
         assert cli_main(["check", "--list-rules", "."]) == 0
@@ -597,7 +571,6 @@ class TestCli:
             "REP002",
             "REP003",
             "REP004",
-            "REP005",
             "REP006",
             "REP007",
         ):

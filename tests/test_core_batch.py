@@ -127,8 +127,8 @@ class TestBatchSolver:
 
         Momentum age, restarts and stop tests are per link, so the
         first link gets the same profile and iteration count alone as
-        stacked with links on their own restart schedules, an all-zero
-        row and a warm-seeded row.
+        stacked with links on their own restart schedules and an
+        all-zero row.
         """
         H = random_links(rng, 4)
         grid = tau_grid(200e-9, 0.5e-9)
@@ -137,12 +137,8 @@ class TestBatchSolver:
             H[:1], FREQS_5G, grid, iterations_out=alone_iterations
         )
         stack = np.vstack([H[:3], np.zeros(len(FREQS_5G)), H[3:]])
-        initial = np.zeros((len(stack), len(grid)), dtype=complex)
-        initial[4] = 0.9 * invert_ndft(H[3], FREQS_5G, grid)
         iterations = np.zeros(len(stack), dtype=np.int64)
-        out = invert_ndft_batch(
-            stack, FREQS_5G, grid, initial=initial, iterations_out=iterations
-        )
+        out = invert_ndft_batch(stack, FREQS_5G, grid, iterations_out=iterations)
         np.testing.assert_allclose(out[0], alone[0], rtol=0, atol=1e-10)
         assert iterations[0] == alone_iterations[0]
         assert len(set(iterations[:3].tolist())) > 1
@@ -420,7 +416,7 @@ class TestHybridBatchEquivalence:
             scalar_est._estimate_group("direct", FREQS_5G, H[i], 2, gates[i]).tof_s
             for i in range(len(H))
         ]
-        got = engine._estimate_group_stack("direct", FREQS_5G, H, 2, gates)
+        got = engine._estimate_group_stack("direct", FREQS_5G, H, 2, gates, [])
         for want, group in zip(expected, got):
             assert abs(group.tof_s - want) <= 1e-12
 
@@ -440,7 +436,7 @@ class TestHybridBatchEquivalence:
         H = h[None, :]
         gate = tau2 + 8e-9  # the direct path sits below the gate...
         want = scalar_est._estimate_group("direct", FREQS_5G, h, 2, gate)
-        got = engine._estimate_group_stack("direct", FREQS_5G, H, 2, [gate])[0]
+        got = engine._estimate_group_stack("direct", FREQS_5G, H, 2, [gate], [])[0]
         assert abs(got.tof_s - want.tof_s) <= 1e-12
         # ...and the soft tier really fired: the sub-gate path won.
         assert got.tof_s == pytest.approx(tau2 / 2, abs=0.5e-9)

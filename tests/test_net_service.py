@@ -51,6 +51,12 @@ class TestRangingRequest:
         with pytest.raises(ValueError):
             RangingRequest("bad", FREQS_5G, np.ones(3))
 
+    def test_shared_base_validates_link_id(self):
+        with pytest.raises(ValueError):
+            RangingRequest("", FREQS_5G, np.ones(len(FREQS_5G), complex))
+        with pytest.raises(ValueError):
+            RangingRequest("a", None, None)
+
 
 class TestRangingService:
     def test_responses_in_request_order(self, rng):

@@ -312,29 +312,20 @@ class TestTracer:
 class TestPerCallTelemetry:
     """The satellite race fix: telemetry returned per call, not raced."""
 
-    def test_engine_returns_warm_stats_per_call(self, rng):
-        engine = BatchTofEngine(FAST_CONFIG)
-        out = []
-        engine.estimate_products_batch(
-            FREQS,
-            np.vstack([one_link(rng, FREQS), one_link(rng, FREQS, 40e-9)]),
-            warm_stats_out=out,
-        )
-        (stats,) = out
-        assert stats.n_links == 2
-        assert stats.n_hinted == 0
-        # The deprecated mirror still refreshes for old readers.
-        assert engine.last_warm_stats == stats
-        # And the registry accumulated the fold.
-        assert REGISTRY.value("engine.links_cold_total", method="hybrid") == 2.0
-
     def test_engine_counts_fista_cap_hits(self, rng):
         """Solves that stop at max_iterations are counted, not hidden in
-        the iteration histogram's overflow bucket."""
+        the iteration histogram's overflow bucket; the histogram itself
+        holds one observation per profile solve."""
+
+        def iteration_counts():
+            series = REGISTRY.snapshot()["engine.fista_iterations"]["series"]
+            return {s["labels"]["method"]: s["count"] for s in series}
+
         links = np.vstack([one_link(rng, FREQS), one_link(rng, FREQS, 40e-9)])
         converging = TofEstimatorConfig(method="ista", quirk_2g4=False)
         BatchTofEngine(converging).estimate_products_batch(FREQS, links)
         assert "engine.fista_cap_hits_total" not in REGISTRY.snapshot()
+        assert iteration_counts() == {"ista": 2}
         capped = TofEstimatorConfig(
             method="ista",
             quirk_2g4=False,
@@ -342,6 +333,14 @@ class TestPerCallTelemetry:
         )
         BatchTofEngine(capped).estimate_products_batch(FREQS, links)
         assert REGISTRY.value("engine.fista_cap_hits_total", method="ista") == 2.0
+        assert iteration_counts() == {"ista": 4}
+        # The hybrid path solves its diagnostic profile once per link,
+        # and not at all when the profile is rasterized from paths.
+        profiled = TofEstimatorConfig(quirk_2g4=False)
+        BatchTofEngine(profiled).estimate_products_batch(FREQS, links)
+        assert iteration_counts() == {"ista": 4, "hybrid": 2}
+        BatchTofEngine(FAST_CONFIG).estimate_products_batch(FREQS, links)
+        assert iteration_counts() == {"ista": 4, "hybrid": 2}
 
     def test_service_returns_stats_per_call(self, rng):
         service = RangingService(FAST_CONFIG)

@@ -19,7 +19,7 @@ from repro.core.cfo import LinkCalibration
 from repro.core.ndft import steering_vector
 from repro.core.sparse import SparseSolverConfig
 from repro.core.tof import TofEstimatorConfig
-from repro.net.service import RangingRequest, RangingService
+from repro.net.service import LinkRequest, RangingRequest, RangingService
 from repro.rf.constants import SPEED_OF_LIGHT
 from repro.stream import (
     LinkTracker,
@@ -138,7 +138,7 @@ class TestStreamingEquivalence:
         async def run():
             return await asyncio.gather(
                 *(
-                    streaming.submit_sweeps(f"sw{i}", sweeps, cal)
+                    streaming.submit(SweepRequest(f"sw{i}", sweeps, cal))
                     for i, sweeps in enumerate(sweeps_per_link)
                 )
             )
@@ -204,8 +204,8 @@ class TestStreamIsolation:
         async def run():
             return await asyncio.wait_for(
                 asyncio.gather(
-                    streaming.submit_sweeps("good", [good]),
-                    streaming.submit_sweeps("bad", [poisoned]),
+                    streaming.submit(SweepRequest("good", (good,))),
+                    streaming.submit(SweepRequest("bad", (poisoned,))),
                 ),
                 timeout=60.0,
             )
@@ -606,7 +606,7 @@ class TestFlushPool:
                 return await asyncio.gather(
                     *(streaming.submit(r) for r in products),
                     *(
-                        streaming.submit_sweeps(f"sw{i}", [sweep])
+                        streaming.submit(SweepRequest(f"sw{i}", (sweep,)))
                         for i, sweep in enumerate(sweeps)
                     ),
                 )
@@ -769,9 +769,9 @@ class TestFlushPool:
                     streaming.submit(
                         RangingRequest("p-ok", FREQS, one_link(rng, FREQS))
                     ),
-                    streaming.submit_sweeps("s-ok", [good_sweep]),
+                    streaming.submit(SweepRequest("s-ok", (good_sweep,))),
                     streaming.submit(RangingRequest("p-bad", FREQS, poisoned)),
-                    streaming.submit_sweeps("s-bad", [bad_sweep]),
+                    streaming.submit(SweepRequest("s-bad", (bad_sweep,))),
                 ),
                 timeout=60.0,
             )
@@ -835,8 +835,8 @@ class TestFlushPool:
 
         async def run():
             return await asyncio.gather(
-                streaming.submit_sweeps("one", [link.sweep(2)]),
-                streaming.submit_sweeps("two", [link.sweep(2), link.sweep(2)]),
+                streaming.submit(SweepRequest("one", (link.sweep(2),))),
+                streaming.submit(SweepRequest("two", (link.sweep(2), link.sweep(2)))),
             )
 
         responses = asyncio.run(run())
@@ -1101,6 +1101,62 @@ class TestLinkTracker:
         state = bank.states()["u"]
         assert state.accepted is False
         assert state.n_rejected == 1
+
+
+class TestRequestApi:
+    def test_requests_share_the_frozen_base(self, ideal_link):
+        prod = RangingRequest("a", FREQS, np.ones(len(FREQS), complex))
+        sweep = SweepRequest("b", (ideal_link.sweep(1),))
+        assert isinstance(prod, LinkRequest)
+        assert isinstance(sweep, LinkRequest)
+        with pytest.raises(ValueError):
+            SweepRequest("c", ())
+
+    def test_reexports(self):
+        import repro.stream as stream
+
+        assert stream.LinkRequest is LinkRequest
+        assert stream.RangingRequest is RangingRequest
+
+    def test_submit_rejects_foreign_types(self, make_streaming):
+        service = make_streaming(
+            FAST_CONFIG, StreamConfig(max_wait_s=600.0, max_batch_links=1)
+        )
+
+        async def bad():
+            await service.submit("not-a-request")
+
+        with pytest.raises(TypeError):
+            asyncio.run(bad())
+
+
+class TestTrackerClamp:
+    """A diverged track must never emit an unphysical prediction."""
+
+    def test_diverged_track_prediction_is_clamped(self):
+        tracker = LinkTracker(config=TrackerConfig(max_range_m=150.0))
+        # Feed a runaway outward trajectory, then coast far into the
+        # future: the extrapolated raw range blows past any deployable
+        # distance.
+        for i in range(12):
+            tracker.update((5.0 + 12.0 * i) / SPEED_OF_LIGHT, 0.25 * i)
+        assert 0.0 <= tracker.predicted_range_m(1000.0) <= 150.0
+
+    def test_inward_divergence_clamps_at_zero(self):
+        tracker = LinkTracker(config=TrackerConfig(max_range_m=150.0))
+        for i in range(12):
+            tracker.update(max(60.0 - 12.0 * i, 1.0) / SPEED_OF_LIGHT, 0.25 * i)
+        assert tracker.predicted_range_m(1000.0) >= 0.0
+
+    def test_bank_prediction_paths_are_clamped(self):
+        bank = TrackerBank(TrackerConfig(max_range_m=80.0))
+        for i in range(12):
+            bank.update("runaway", (5.0 + 12.0 * i) / SPEED_OF_LIGHT, 0.25 * i)
+        assert 0.0 <= bank.tracker("runaway").predicted_range_m(1000.0) <= 80.0
+
+    def test_config_rejects_nonpositive_ceiling(self):
+        with pytest.raises(ValueError):
+            TrackerConfig(max_range_m=0.0)
 
 
 class TestStreamSession:

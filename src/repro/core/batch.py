@@ -406,7 +406,21 @@ class BatchTofEngine:
 
         with self._kernel_span("extract", n_links):
             paths_per_link = extract_paths_batch(
-                coarse_stack, coarse_freqs, window, cfg.deflation
+                coarse_stack,
+                coarse_freqs,
+                window,
+                cfg.deflation,
+                amplitude_keep_rel=cfg.first_peak_amplitude_rel,
+            )
+        # Sparse channels stop at their components, far below the atom
+        # budget; a link that spends all of it is either richer than
+        # the budget or fitting noise the signal floor let through.
+        n_full = sum(
+            1 for paths in paths_per_link if len(paths) == cfg.deflation.max_paths
+        )
+        if n_full:
+            REGISTRY.inc(
+                "engine.deflation_budget_hits_total", n_full, method=cfg.method
             )
         targets = [
             gate_target_mean_s(gate, cfg.coarse_gate_margin_s, exponent)

@@ -13,7 +13,9 @@ estimate paths one at a time **off-grid** and subtract them:
 1. matched-filter the residual on a grid fine enough that the true
    (continuous) delay is represented almost losslessly,
 2. polish the winning delay continuously (golden-section),
-3. jointly least-squares re-fit all amplitudes, deflate, repeat.
+3. jointly least-squares re-fit all amplitudes, deflate, repeat until
+   the next atom falls below the signal floor
+   (:func:`signal_floor_rel`) or the atom budget is spent.
 
 Because every extracted atom matches its component exactly (no grid
 quantization), nothing leaks onto pseudo-aliases, and the residual after
@@ -50,12 +52,19 @@ ScoreCandidates = Callable[[FloatGrid], "tuple[FloatVector, FloatVector]"]
 class DeflationConfig:
     """Settings of the greedy extractor.
 
+    Extraction also stops at the *signal floor*
+    (:func:`signal_floor_rel`): an atom must remove at least
+    ``amplitude_keep_rel² / max_paths`` of the link's input power, 5.2e-3
+    at the defaults, where ``amplitude_keep_rel`` is the first-path
+    rule's amplitude cut.  A weaker atom is one the first-path rule
+    would not pick, so once the residual is noise extraction ends
+    instead of filling the atom budget with noise fits.  The floor is
+    derived, not set: it has no field here.
+
     Attributes:
         max_paths: Atom budget.  The reciprocity square of a p-path
             channel has up to p(p+1)/2 components; the budget caps model
             size at what the band count can support.
-        residual_stop_rel: Stop when the residual power falls below this
-            fraction of the input power (noise floor reached).
         min_improvement_rel: Stop when an extraction step fails to remove
             at least this fraction of the current residual power — the
             atom is then fitting noise and is discarded.
@@ -71,7 +80,6 @@ class DeflationConfig:
     """
 
     max_paths: int = 12
-    residual_stop_rel: float = 1e-4
     min_improvement_rel: float = 0.02
     phase_budget_rad: float = 0.3
     final_alpha_rel: float = 0.1
@@ -79,10 +87,6 @@ class DeflationConfig:
     def __post_init__(self) -> None:
         if self.max_paths < 1:
             raise ValueError(f"max_paths must be >= 1, got {self.max_paths}")
-        if not 0.0 <= self.residual_stop_rel < 1.0:
-            raise ValueError(
-                f"residual_stop_rel must be in [0,1), got {self.residual_stop_rel}"
-            )
         if not 0.0 < self.min_improvement_rel < 1.0:
             raise ValueError(
                 f"min_improvement_rel must be in (0,1), got {self.min_improvement_rel}"
@@ -102,19 +106,29 @@ def extract_paths(
     frequencies_hz: FrequencyVector | Sequence[float],
     max_delay_s: float,
     config: DeflationConfig | None = None,
+    amplitude_keep_rel: float = 0.25,
 ) -> list[RefinedPath]:
     """Greedy off-grid decomposition of ``channels`` into delay atoms.
+
+    Extraction stops at the first atom that removes less than
+    ``max(min_improvement_rel × residual power, floor × input power)``,
+    with the floor from :func:`signal_floor_rel`, or when the atom
+    budget is spent.  A link whose residual is already at or below
+    ``floor × input power`` takes no further atom.
 
     Args:
         channels: Measured (zero-subcarrier) channels, one per frequency.
         frequencies_hz: The non-uniform measurement frequencies.
         max_delay_s: Delay search window (the group's CRT-unique window).
         config: Extraction settings.
+        amplitude_keep_rel: The first-path rule's amplitude cut
+            (:func:`first_path_delay`), which sets the signal floor.
 
     Returns:
         Paths sorted by delay; amplitudes are the final joint-LS fit.
     """
     cfg = config or DeflationConfig()
+    floor_rel = signal_floor_rel(amplitude_keep_rel, cfg.max_paths)
     h = np.asarray(channels, dtype=complex)
     freqs = np.asarray(frequencies_hz, dtype=float)
     if h.shape != freqs.shape or h.ndim != 1:
@@ -132,12 +146,13 @@ def extract_paths(
     total_power = float(np.vdot(h, h).real)
     if total_power == 0.0:
         return []
+    floor_power = floor_rel * total_power
     residual = h.copy()
     delays: list[float] = []
     amps = np.zeros(0, dtype=complex)
     for _ in range(cfg.max_paths):
         previous_power = float(np.vdot(residual, residual).real)
-        if previous_power <= cfg.residual_stop_rel * total_power:
+        if previous_power <= floor_power:
             break
         corr = np.abs(F.conj().T @ residual)
         tau0 = float(grid[int(np.argmax(corr))])
@@ -147,7 +162,8 @@ def extract_paths(
         candidate_amps, *_ = np.linalg.lstsq(A, h, rcond=None)
         new_residual = h - A @ candidate_amps
         new_power = float(np.vdot(new_residual, new_residual).real)
-        if previous_power - new_power < cfg.min_improvement_rel * previous_power:
+        improvement = previous_power - new_power
+        if improvement < max(cfg.min_improvement_rel * previous_power, floor_power):
             break
         delays.append(tau)
         amps = candidate_amps
@@ -165,6 +181,35 @@ def extract_paths(
     paths = [RefinedPath(float(d), complex(a)) for d, a in zip(delays, amps, strict=True)]
     paths.sort(key=lambda p: p.delay_s)
     return paths
+
+
+def signal_floor_rel(amplitude_keep_rel: float, max_paths: int) -> float:
+    """The least share of a link's input power an extracted atom must remove.
+
+    ``amplitude_keep_rel² / max_paths`` — 5.2e-3 at the first-path
+    rule's 0.25 cut and the default budget of 12.  Once the atoms
+    explain the link, at most ``max_paths`` of them share its input
+    power, so the strongest carries at least ``1 / max_paths`` of it.
+    An atom removing less than ``amplitude_keep_rel²`` of that has an
+    amplitude below ``amplitude_keep_rel`` × the peak, and
+    :func:`first_path_delay` never picks it.  Both extractors stop at
+    this floor, so a sparse channel takes as many atoms as it has
+    components rather than filling the budget with noise fits.
+
+    This is a heuristic bound, not a proof: the atoms are not
+    orthogonal, so power does not split exactly among them, and the
+    coarse gate can drop the peak atom from the first-path rule's
+    admissible set, lowering the peak it compares against.  The golden
+    ToF fixtures under ``tests/golden/`` are the check that the floor
+    moves no answer.
+    """
+    if not 0.0 < amplitude_keep_rel <= 1.0:
+        raise ValueError(
+            f"amplitude_keep_rel must be in (0,1], got {amplitude_keep_rel}"
+        )
+    if max_paths < 1:
+        raise ValueError(f"max_paths must be >= 1, got {max_paths}")
+    return amplitude_keep_rel**2 / max_paths
 
 
 def matched_filter_grid(

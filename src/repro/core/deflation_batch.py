@@ -21,10 +21,13 @@ mirroring the freezing discipline of
 * the per-link least-squares re-fits run over the stacked residuals
   link by link (the candidate supports are link-specific, and
   ``np.linalg.lstsq`` on a 35×k matrix is noise next to the scans);
-* a link whose extraction step stops improving (or whose residual hits
-  the noise floor) freezes at its current path list while the rest
-  keep extracting — exactly the scalar loop's stopping rule, applied
-  per link.
+* a link whose next atom falls below the signal floor — it removes
+  less than ``amplitude_keep_rel² / max_paths`` of the link's input
+  power (:func:`repro.core.deflation.signal_floor_rel`) or less than
+  ``min_improvement_rel`` of the current residual — freezes at its
+  current path list while the rest keep extracting.  That is the
+  scalar loop's stopping rule, applied per link; a sparse link stops
+  after its real components instead of running to the atom budget.
 
 Per-link semantics are unchanged: every decision (grid argmax, polish
 bracket, improvement test, fallback atom, final L1 amplitude fit) uses
@@ -48,6 +51,7 @@ from repro.core.deflation import (
     lasso_amplitudes,
     matched_filter_grid,
     relocate_ghost_delays,
+    signal_floor_rel,
 )
 from repro.core.ndft import get_operator, ndft_matrix, steering_vector
 from repro.core.profile import RefinedPath
@@ -69,19 +73,26 @@ def extract_paths_batch(
     frequencies_hz: FrequencyVector,
     max_delay_s: float,
     config: DeflationConfig | None = None,
+    amplitude_keep_rel: float = 0.25,
 ) -> list[list[RefinedPath]]:
     """Greedy off-grid decomposition of every row of ``channels``.
 
     The batched counterpart of
     :func:`repro.core.deflation.extract_paths`: one path list per link,
     each equal (to floating-point noise) to what the scalar extractor
-    returns for that row alone.
+    returns for that row alone.  Each link stops at its first atom that
+    removes less than ``max(min_improvement_rel × residual power,
+    floor × input power)``, with the floor from
+    :func:`repro.core.deflation.signal_floor_rel`, or when the atom
+    budget is spent.
 
     Args:
         channels: ``(n_links, n_bands)`` stacked measurements.
         frequencies_hz: The shared non-uniform measurement frequencies.
         max_delay_s: Delay search window (the group's CRT-unique window).
         config: Extraction settings, shared by every link.
+        amplitude_keep_rel: The first-path rule's amplitude cut, which
+            sets the signal floor.
 
     Returns:
         For each link, paths sorted by delay with final joint-L1
@@ -89,6 +100,7 @@ def extract_paths_batch(
         path otherwise (the scalar fallback atom).
     """
     cfg = config or DeflationConfig()
+    floor_rel = signal_floor_rel(amplitude_keep_rel, cfg.max_paths)
     H = np.asarray(channels, dtype=complex)
     freqs = np.asarray(frequencies_hz, dtype=float)
     if H.ndim != 2:
@@ -110,6 +122,7 @@ def extract_paths_batch(
 
     n_links = H.shape[0]
     total_power = np.einsum("lb,lb->l", H, H.conj()).real
+    floor_power = floor_rel * total_power
     residual = H.copy()
     delays: list[list[float]] = [[] for _ in range(n_links)]
     active = np.flatnonzero(total_power > 0.0)
@@ -118,7 +131,7 @@ def extract_paths_batch(
             break
         live = residual[active]
         power = np.einsum("lb,lb->l", live, live.conj()).real
-        keep = power > cfg.residual_stop_rel * total_power[active]
+        keep = power > floor_power[active]
         active = active[keep]
         if active.size == 0:
             break
@@ -143,8 +156,10 @@ def extract_paths_batch(
             new_residual = H[link] - A @ candidate_amps
             new_power = float(np.vdot(new_residual, new_residual).real)
             improvement = previous_power - new_power
-            if improvement < cfg.min_improvement_rel * previous_power:
-                continue  # fitting noise — freeze this link
+            if improvement < max(
+                cfg.min_improvement_rel * previous_power, floor_power[link]
+            ):
+                continue  # below the signal — freeze this link
             delays[link].append(float(taus[pos]))
             residual[link] = new_residual
             accepted.append(link)

@@ -396,7 +396,11 @@ class TofEstimator:
         window = capped_window_s(coarse_freqs, self.config.max_profile_delay_s)
         if self.config.method == "hybrid":
             paths = extract_paths(
-                coarse_products, coarse_freqs, window, self.config.deflation
+                coarse_products,
+                coarse_freqs,
+                window,
+                self.config.deflation,
+                amplitude_keep_rel=self.config.first_peak_amplitude_rel,
             )
             target_mean = gate_target_mean_s(
                 gate_s, self.config.coarse_gate_margin_s, exponent

@@ -12,6 +12,7 @@ from repro.core.deflation import (
     lasso_amplitudes,
     matched_filter_grid,
     prune_ghost_atoms,
+    signal_floor_rel,
 )
 from repro.core.deflation_batch import (
     extract_paths_batch,
@@ -241,6 +242,80 @@ class TestExtractPathsBatch:
             extract_paths_batch(np.ones((2, 5)), FREQS, 100e-9)
         with pytest.raises(ValueError):
             extract_paths_batch(np.ones((2, len(FREQS))), FREQS, 0.0)
+
+
+class TestSignalFloor:
+    """Extraction stops at the channel's components, not at the budget.
+
+    Without the signal floor every link below ran to 6–12 atoms: once
+    the residual is noise, the best grid atom still removes 2 % of it.
+    """
+
+    DELAYS = (12.4e-9, 45.3e-9, 71.1e-9, 98.0e-9)
+
+    def _noise(self, rng, n_links, scale=0.03):
+        shape = (n_links, len(FREQS))
+        return scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+    def fleet_like(self, rng):
+        """The fleet channel: direct path + 0.35 bounce 30 ns later."""
+        H = np.vstack(
+            [
+                steering_vector(FREQS, t) + 0.35 * steering_vector(FREQS, t + 30e-9)
+                for t in self.DELAYS
+            ]
+        )
+        return H + self._noise(rng, len(H))
+
+    def body_blocked(self, rng):
+        """A dominant late bounce over a 0.1-scaled fleet channel."""
+        H = np.vstack(
+            [
+                0.1 * (steering_vector(FREQS, t) + 0.35 * steering_vector(FREQS, t + 30e-9))
+                + 2.0 * steering_vector(FREQS, t + 40e-9)
+                for t in self.DELAYS
+            ]
+        )
+        return H + self._noise(rng, len(H))
+
+    def three_paths(self):
+        return np.vstack(
+            [
+                steering_vector(FREQS, t)
+                + 0.5 * steering_vector(FREQS, t + 22e-9)
+                + 0.2 * steering_vector(FREQS, t + 61e-9)
+                for t in self.DELAYS
+            ]
+        )
+
+    def atom_counts(self, H):
+        """Per-link atom counts, batch and scalar pinned equal."""
+        batch = [len(p) for p in extract_paths_batch(H, FREQS, 200e-9)]
+        scalar = [len(extract_paths(h, FREQS, 200e-9)) for h in H]
+        assert batch == scalar
+        return batch
+
+    def test_fleet_like_link_takes_two_atoms(self, rng):
+        assert self.atom_counts(self.fleet_like(rng)) == [2] * len(self.DELAYS)
+
+    def test_body_blocked_link_takes_one_atom(self, rng):
+        assert self.atom_counts(self.body_blocked(rng)) == [1] * len(self.DELAYS)
+
+    def test_three_path_link_takes_three_atoms(self, rng):
+        clean = self.three_paths()
+        assert self.atom_counts(clean) == [3] * len(self.DELAYS)
+        noisy = clean + self._noise(rng, len(clean))
+        assert self.atom_counts(noisy) == [3] * len(self.DELAYS)
+
+    def test_floor_is_keep_squared_over_budget(self):
+        assert signal_floor_rel(0.25, 2) == 1.0 / 32.0
+        assert signal_floor_rel(0.25, DeflationConfig().max_paths) == pytest.approx(
+            5.2e-3, rel=1e-2
+        )
+        with pytest.raises(ValueError):
+            signal_floor_rel(0.0, 12)
+        with pytest.raises(ValueError):
+            signal_floor_rel(0.25, 0)
 
 
 class TestBatchedPruneAndLasso:

@@ -9,6 +9,7 @@ exit-code contract (0 = table, 1 = empty/ill-formed, 2 = usage).
 """
 
 import asyncio
+import dataclasses
 import json
 import threading
 
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.batch import BatchTofEngine
+from repro.core.deflation import DeflationConfig
 from repro.core.ndft import steering_vector
 from repro.core.sparse import SparseSolverConfig
 from repro.core.tof import TofEstimatorConfig
@@ -341,6 +343,30 @@ class TestPerCallTelemetry:
         assert iteration_counts() == {"ista": 4, "hybrid": 2}
         BatchTofEngine(FAST_CONFIG).estimate_products_batch(FREQS, links)
         assert iteration_counts() == {"ista": 4, "hybrid": 2}
+
+    def test_engine_counts_deflation_budget_hits(self, rng):
+        """Extractions that end with ``max_paths`` atoms are counted.
+
+        Fleet-like two-path links stop at their two components, so the
+        counter stays absent; a one-atom budget fills on every link.
+        """
+        links = np.vstack(
+            [
+                steering_vector(FREQS, 2 * tau)
+                + 0.35 * steering_vector(FREQS, 2 * tau + 30e-9)
+                + 0.03 * (rng.normal(size=len(FREQS)) + 1j * rng.normal(size=len(FREQS)))
+                for tau in (10e-9, 25e-9, 40e-9)
+            ]
+        )
+        BatchTofEngine(FAST_CONFIG).estimate_products_batch(FREQS, links)
+        assert "engine.deflation_budget_hits_total" not in REGISTRY.snapshot()
+        one_atom = dataclasses.replace(
+            FAST_CONFIG, deflation=DeflationConfig(max_paths=1)
+        )
+        BatchTofEngine(one_atom).estimate_products_batch(FREQS, links)
+        assert REGISTRY.value(
+            "engine.deflation_budget_hits_total", method="hybrid"
+        ) == len(links)
 
     def test_service_returns_stats_per_call(self, rng):
         service = RangingService(FAST_CONFIG)

@@ -141,6 +141,10 @@ class PositionTracker:
         client_id: str = "client",
         config: PositionTrackerConfig | None = None,
     ):
+        if not isinstance(client_id, str) or not client_id:
+            raise ValueError(
+                f"client_id must be a non-empty string, got {client_id!r}"
+            )
         self.client_id = client_id
         self.config = config or PositionTrackerConfig()
         self._x: np.ndarray | None = None  # [x, y, vx, vy]

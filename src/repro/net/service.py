@@ -105,11 +105,8 @@ class RangingRequest(LinkRequest):
             omitted).
     """
 
-    # Defaulted to None only so the kw-only envelope fields of
-    # LinkRequest can precede them; __post_init__ rejects the Nones, so
-    # a constructed request always carries real arrays.
-    frequencies_hz: np.ndarray = None  # type: ignore[assignment]
-    products: np.ndarray = None  # type: ignore[assignment]
+    frequencies_hz: np.ndarray
+    products: np.ndarray
     exponent: int = 2
     calibration: LinkCalibration | None = None
 

@@ -171,6 +171,8 @@ class LinkTracker:
     """
 
     def __init__(self, link_id: str = "link", config: TrackerConfig | None = None):
+        if not isinstance(link_id, str) or not link_id:
+            raise ValueError(f"link_id must be a non-empty string, got {link_id!r}")
         self.link_id = link_id
         self.config = config or TrackerConfig()
         c = SPEED_OF_LIGHT

@@ -249,6 +249,13 @@ class TestPositionTracker:
         bank.drop("u")
         assert "u" not in bank
 
+    def test_rejects_non_string_client_id(self):
+        """A config passed positionally must not become the client id."""
+        with pytest.raises(ValueError, match="PositionTrackerConfig"):
+            PositionTracker(PositionTrackerConfig())
+        with pytest.raises(ValueError, match="''"):
+            PositionTracker("")
+
     def test_validation_and_reset(self):
         tracker = PositionTracker()
         with pytest.raises(ValueError):

@@ -56,6 +56,10 @@ class TestRangingRequest:
             RangingRequest("", FREQS_5G, np.ones(len(FREQS_5G), complex))
         with pytest.raises(ValueError):
             RangingRequest("a", None, None)
+        with pytest.raises(TypeError):
+            RangingRequest("a", FREQS_5G)
+        with pytest.raises(TypeError):
+            RangingRequest("a")
 
 
 class TestRangingService:

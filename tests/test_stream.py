@@ -1056,6 +1056,13 @@ class TestLinkTracker:
             state = tracker.update_range(6.0, k * dt)
         assert abs(state.range_m - 6.0) < 0.2
 
+    def test_rejects_non_string_link_id(self):
+        """A config passed positionally must not become the link id."""
+        with pytest.raises(ValueError, match="TrackerConfig"):
+            LinkTracker(TrackerConfig(max_range_m=150.0))
+        with pytest.raises(ValueError, match="''"):
+            LinkTracker("")
+
     def test_validation_and_reset(self):
         tracker = LinkTracker()
         with pytest.raises(ValueError):

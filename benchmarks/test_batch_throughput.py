@@ -436,13 +436,14 @@ def test_streaming_coalesced_matches_hybrid_batch():
         )
 
     # Single runs of either path jitter ±10–30% on a loaded box — enough
-    # to flip a parity assertion on noise alone.  Best of three runs per
-    # path compares the steady-state cost of each.
+    # to flip a parity assertion on noise alone.  Best of five alternating
+    # runs per path compares the steady-state cost of each; best of three
+    # read parity 0.87–0.88 in some tier-1 runs on 2 vCPUs.
     try:
         batch_s, stream_s = np.inf, np.inf
         batch_tofs: list[float] = []
         responses = []
-        for _ in range(3):
+        for _ in range(5):
             t0 = time.perf_counter()
             batch_tofs = [
                 e.tof_s
@@ -486,11 +487,11 @@ def test_streaming_coalesced_matches_hybrid_batch():
         )
 
         assert agreement <= 1e-12, "streamed estimates diverged from the batch path"
-        # Warm-up + three measured runs, each coalesced into exactly
+        # Warm-up + five measured runs, each coalesced into exactly
         # one full-width, single-plan-group flush.
-        assert streaming.stats.n_flushes == 4, "streams did not coalesce"
+        assert streaming.stats.n_flushes == 6, "streams did not coalesce"
         assert streaming.stats.largest_flush == N_LINKS
-        assert streaming.stats.n_groups == 4
+        assert streaming.stats.n_groups == 6
         assert parity >= MIN_STREAM_PARITY, (
             f"coalesced streaming at {parity:.2f}x of batch throughput "
             f"(floor {MIN_STREAM_PARITY})"

@@ -207,8 +207,6 @@ def signal_floor_rel(amplitude_keep_rel: float, max_paths: int) -> float:
         raise ValueError(
             f"amplitude_keep_rel must be in (0,1], got {amplitude_keep_rel}"
         )
-    if max_paths < 1:
-        raise ValueError(f"max_paths must be >= 1, got {max_paths}")
     return amplitude_keep_rel**2 / max_paths
 
 

@@ -315,7 +315,7 @@ class TestSignalFloor:
         with pytest.raises(ValueError):
             signal_floor_rel(0.0, 12)
         with pytest.raises(ValueError):
-            signal_floor_rel(0.25, 0)
+            extract_paths_batch(self.three_paths(), FREQS, 200e-9, amplitude_keep_rel=1.5)
 
 
 class TestBatchedPruneAndLasso:

@@ -125,7 +125,8 @@ def extract_paths(
             (:func:`first_path_delay`), which sets the signal floor.
 
     Returns:
-        Paths sorted by delay; amplitudes are the final joint-LS fit.
+        Paths sorted by delay; amplitudes are the final joint L1 fit
+        (:func:`lasso_amplitudes`).
     """
     cfg = config or DeflationConfig()
     floor_rel = signal_floor_rel(amplitude_keep_rel, cfg.max_paths)

@@ -1,9 +1,9 @@
 """Batched time-of-flight ranging: N links estimated in one shot.
 
-The scalar :class:`~repro.core.tof.TofEstimator` solves one sparse
-inversion per link per call — fine for reproducing the paper's figures,
-hopeless for a ranging service handling many concurrent links.  This
-module restructures that hot path around two observations:
+Chronos solves one sparse inversion per link — fine for reproducing the
+paper's figures, hopeless for a ranging service handling many
+concurrent links.  This module restructures that hot path around two
+observations:
 
 * Everything expensive that depends only on the *band plan* — the NDFT
   matrix ``F``, its adjoint, its Lipschitz constant (a full SVD) and the
@@ -16,11 +16,12 @@ module restructures that hot path around two observations:
   per-iteration matrix products into single GEMMs over every
   still-active link (:func:`repro.core.sparse.invert_ndft_batch`).
 
-Per-link semantics are unchanged: the scalar estimator is literally the
-``N = 1`` case of the batched kernels, and the engine reuses the scalar
-estimator's own peak-selection, gating, fusion and calibration code, so
-batched and scalar estimates agree to floating-point noise (the batch
-regression tests pin the agreement at 1e-12 seconds).
+Per-link semantics are unchanged: the one-link
+:class:`~repro.core.tof.TofEstimator` API is literally the ``N = 1``
+call of this engine, and the engine takes its grouping, gating,
+peak-selection and fusion policy from that class, so a link solved
+alone and the same link inside a batch agree to floating-point noise
+(the batch regression tests pin the agreement at 1e-12 seconds).
 
 Both estimation methods are batch-first.  ``method="ista"`` runs one
 batched Algorithm 1 inversion over the stack.  ``method="hybrid"`` (the
@@ -98,10 +99,9 @@ class BatchTofEngine:
 
     def __init__(self, config: TofEstimatorConfig | None = None):
         self.config = config or TofEstimatorConfig()
-        # The scalar estimator supplies every per-link policy (grouping,
-        # peak selection, gating, fusion) so batched results cannot
-        # drift from scalar ones.  Its calibration stays identity; the
-        # engine applies per-link calibrations itself.
+        # The estimator supplies every per-link policy (grouping, peak
+        # selection, gating, fusion).  Its calibration stays identity;
+        # the engine applies per-link calibrations itself.
         self._estimator = TofEstimator(self.config)
 
     # ------------------------------------------------------------------
@@ -116,8 +116,8 @@ class BatchTofEngine:
     ) -> list[TofEstimate]:
         """ToF for ``N`` links from stacked band products.
 
-        The batched counterpart of
-        :meth:`~repro.core.tof.TofEstimator.estimate_from_products`.
+        :meth:`~repro.core.tof.TofEstimator.estimate_from_products` is
+        the one-link call.
 
         Args:
             frequencies_hz: Band center frequencies shared by all links.
@@ -190,12 +190,12 @@ class BatchTofEngine:
     ) -> list[TofEstimate]:
         """ToF for ``N`` links from their CSI sweeps.
 
-        The batched counterpart of
-        :meth:`~repro.core.tof.TofEstimator.estimate_many`: per link,
-        the same coarse slope gate and per-group product averaging; then
-        all (link, band group) inversions that share a frequency set are
-        solved in one batched run, and the per-link group estimates are
-        fused and calibrated exactly as the scalar path does.
+        Per link, the coarse slope gate and per-group product averaging;
+        then all (link, band group) inversions that share a frequency
+        set are solved in one batched run, and each link's group
+        estimates are fused and calibrated.
+        :meth:`~repro.core.tof.TofEstimator.estimate_many` is the
+        one-link call.
 
         Args:
             sweeps_per_link: For each link, the sweeps to average.
@@ -216,8 +216,8 @@ class BatchTofEngine:
             {"method": self.config.method, "kind": "sweeps"},
             n_links=n_links,
         ):
-            # Per-link preprocessing, via the scalar estimator's own
-            # helper (single source of the gating/grouping semantics).
+            # Per-link preprocessing (the estimator's helper is the
+            # single source of the gating/grouping semantics).
             coarse_rts: list[float | None] = []
             link_jobs: list[
                 list[tuple[str, FrequencyVector, ComplexCSI, int, float | None]]
@@ -331,8 +331,8 @@ class BatchTofEngine:
         """One band group for every link at once.
 
         The ista method runs one batched Algorithm 1 inversion over the
-        whole stack, then applies the scalar peak/gate/refine logic per
-        link.  The hybrid method runs the batched deflation kernel over
+        whole stack, then applies the estimator's peak/gate/refine logic
+        per link.  The hybrid method runs the batched deflation kernel over
         the stack (:meth:`_hybrid_group_stack`).  Each profile inversion
         appends its per-link FISTA iteration counts to ``iterations``.
         """
@@ -388,13 +388,21 @@ class BatchTofEngine:
     ) -> list[GroupEstimate]:
         """The hybrid (deflation) method over the whole stack.
 
-        Mirrors the hybrid branch of
-        :meth:`~repro.core.tof.TofEstimator._estimate_group` stage for
-        stage: batched greedy extraction on the coarse band set, batched
-        ghost pruning with the per-link slope targets, the optional
-        full-aperture refit, the first-peak rule, and — when diagnostic
-        profiles are requested — one batched Algorithm 1 inversion in
-        place of the scalar path's per-link one.
+        A delay grid coarse enough to be tractable cannot represent an
+        off-grid atom across a multi-GHz stitched aperture: the residual
+        sub-grid offset rotates the highest band by several radians and
+        the best on-grid explanation becomes a CRT pseudo-alias hundreds
+        of ns away.  The cure mirrors the CRT structure itself: extract
+        paths on the widest *5-MHz-gridded* subgroup (the 5 GHz bands —
+        aperture 645 MHz, safely representable on a 0.5 ns grid), then
+        refit them off-grid against **all** bands, gaining the full
+        stitched-aperture resolution without its grid pathology.
+
+        Stage by stage: batched greedy extraction on the coarse band
+        set, batched ghost pruning with the per-link slope targets, the
+        full-aperture refit when the coarse set is partial, the
+        first-peak rule, and — when diagnostic profiles are requested —
+        one batched Algorithm 1 inversion for all links.
         """
         est = self._estimator
         cfg = self.config
@@ -437,10 +445,6 @@ class BatchTofEngine:
                 target_mean_delays_s=targets,
             )
         if not coarse_mask.all():
-            # The refit joins the lockstep fast path too: the scalar
-            # per-link loop here was the mixed-aperture throughput
-            # dilution the benchmark's hybrid_mixed_aperture series
-            # tracks.
             with self._kernel_span("refit", n_links):
                 paths_per_link = full_aperture_refit_batch(
                     paths_per_link,
@@ -477,9 +481,7 @@ class BatchTofEngine:
                 ]
             else:
                 profiles = [
-                    est._make_profile(
-                        window, coarse_freqs, coarse_stack[i], paths_per_link[i]
-                    )
+                    est._make_profile(window, paths_per_link[i])
                     for i in range(n_links)
                 ]
         span = float(freqs.max() - freqs.min())

@@ -1,4 +1,4 @@
-"""Greedy off-grid path extraction (successive deflation).
+"""Greedy off-grid path extraction: settings and per-link rules.
 
 The L1 inversion of Algorithm 1 recovers the multipath *profile*, but
 picking the first peak straight off a gridded profile has a failure
@@ -8,44 +8,31 @@ and with coherent columns the LASSO splits mass onto such pseudo-aliases
 — occasionally *earlier* than the direct path.
 
 The cure is classic super-resolution practice (CLEAN / Newtonized OMP):
-estimate paths one at a time **off-grid** and subtract them:
-
-1. matched-filter the residual on a grid fine enough that the true
-   (continuous) delay is represented almost losslessly,
-2. polish the winning delay continuously (golden-section),
-3. jointly least-squares re-fit all amplitudes, deflate, repeat until
-   the next atom falls below the signal floor
-   (:func:`signal_floor_rel`) or the atom budget is spent.
-
-Because every extracted atom matches its component exactly (no grid
-quantization), nothing leaks onto pseudo-aliases, and the residual after
-the true components is pure noise.  The returned path list feeds the
-same first-peak rule as the paper (§6).
+estimate paths one at a time **off-grid** and subtract them.  The
+extractor, :func:`repro.core.deflation_batch.extract_paths_batch`, runs
+the greedy loop for a stack of links; one link is a one-row stack.
+This module holds what the extractor and the engine share: the
+settings, the signal floor that stops extraction, the matched-filter
+grid, the L1 amplitude fit, the pseudo-alias shifts of a band plan and
+the paper's first-peak rule (§6) over the extracted paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.analysis.contracts import shaped
-from repro.core.ndft import get_operator, ndft_matrix, steering_vector
-from repro.core.profile import RefinedPath, _golden_max, scan_correlations
+from repro.core.profile import RefinedPath
 from repro.core.typing import (
     ComplexCSI,
     ComplexProfile,
     DelayVector,
-    FloatGrid,
-    FloatVector,
     FrequencyVector,
     NdftMatrix,
 )
-
-ScoreCandidates = Callable[[FloatGrid], "tuple[FloatVector, FloatVector]"]
-"""Maps an ``(n_candidates, n_atoms)`` delay-set stack to per-row
-``(residual power, energy-weighted mean delay)`` arrays."""
 
 
 @dataclass(frozen=True)
@@ -101,89 +88,6 @@ class DeflationConfig:
             )
 
 
-def extract_paths(
-    channels: ComplexCSI | Sequence[complex],
-    frequencies_hz: FrequencyVector | Sequence[float],
-    max_delay_s: float,
-    config: DeflationConfig | None = None,
-    amplitude_keep_rel: float = 0.25,
-) -> list[RefinedPath]:
-    """Greedy off-grid decomposition of ``channels`` into delay atoms.
-
-    Extraction stops at the first atom that removes less than
-    ``max(min_improvement_rel × residual power, floor × input power)``,
-    with the floor from :func:`signal_floor_rel`, or when the atom
-    budget is spent.  A link whose residual is already at or below
-    ``floor × input power`` takes no further atom.
-
-    Args:
-        channels: Measured (zero-subcarrier) channels, one per frequency.
-        frequencies_hz: The non-uniform measurement frequencies.
-        max_delay_s: Delay search window (the group's CRT-unique window).
-        config: Extraction settings.
-        amplitude_keep_rel: The first-path rule's amplitude cut
-            (:func:`first_path_delay`), which sets the signal floor.
-
-    Returns:
-        Paths sorted by delay; amplitudes are the final joint L1 fit
-        (:func:`lasso_amplitudes`).
-    """
-    cfg = config or DeflationConfig()
-    floor_rel = signal_floor_rel(amplitude_keep_rel, cfg.max_paths)
-    h = np.asarray(channels, dtype=complex)
-    freqs = np.asarray(frequencies_hz, dtype=float)
-    if h.shape != freqs.shape or h.ndim != 1:
-        raise ValueError("channels and frequencies must be 1-D and equal length")
-    if len(h) < 3:
-        raise ValueError("need at least 3 measurements to extract paths")
-    if max_delay_s <= 0:
-        raise ValueError(f"max delay must be positive, got {max_delay_s}")
-
-    grid, grid_step = matched_filter_grid(freqs, max_delay_s, cfg)
-    # The grid is a pure function of (frequencies, window, phase budget),
-    # so a batch of links sharing a band plan reuses one cached matrix.
-    F = get_operator(freqs, grid).F
-
-    total_power = float(np.vdot(h, h).real)
-    if total_power == 0.0:
-        return []
-    floor_power = floor_rel * total_power
-    residual = h.copy()
-    delays: list[float] = []
-    amps = np.zeros(0, dtype=complex)
-    for _ in range(cfg.max_paths):
-        previous_power = float(np.vdot(residual, residual).real)
-        if previous_power <= floor_power:
-            break
-        corr = np.abs(F.conj().T @ residual)
-        tau0 = float(grid[int(np.argmax(corr))])
-        tau = _polish(residual, freqs, tau0, grid_step, max_delay_s)
-        candidate_delays = np.array(delays + [tau])
-        A = ndft_matrix(freqs, candidate_delays)
-        candidate_amps, *_ = np.linalg.lstsq(A, h, rcond=None)
-        new_residual = h - A @ candidate_amps
-        new_power = float(np.vdot(new_residual, new_residual).real)
-        improvement = previous_power - new_power
-        if improvement < max(cfg.min_improvement_rel * previous_power, floor_power):
-            break
-        delays.append(tau)
-        amps = candidate_amps
-        residual = new_residual
-    if not delays:
-        # Even pure noise yields one best-matching atom; fall back to the
-        # single strongest correlation so callers always get a path.
-        corr = np.abs(F.conj().T @ h)
-        tau = _polish(h, freqs, float(grid[int(np.argmax(corr))]), grid_step, max_delay_s)
-        a = np.vdot(steering_vector(freqs, tau), h) / len(h)
-        return [RefinedPath(tau, complex(a))]
-    amps = lasso_amplitudes(
-        ndft_matrix(freqs, np.asarray(delays)), h, cfg.final_alpha_rel
-    )
-    paths = [RefinedPath(float(d), complex(a)) for d, a in zip(delays, amps, strict=True)]
-    paths.sort(key=lambda p: p.delay_s)
-    return paths
-
-
 def signal_floor_rel(amplitude_keep_rel: float, max_paths: int) -> float:
     """The least share of a link's input power an extracted atom must remove.
 
@@ -193,9 +97,9 @@ def signal_floor_rel(amplitude_keep_rel: float, max_paths: int) -> float:
     power, so the strongest carries at least ``1 / max_paths`` of it.
     An atom removing less than ``amplitude_keep_rel²`` of that has an
     amplitude below ``amplitude_keep_rel`` × the peak, and
-    :func:`first_path_delay` never picks it.  Both extractors stop at
-    this floor, so a sparse channel takes as many atoms as it has
-    components rather than filling the budget with noise fits.
+    :func:`first_path_delay` never picks it.  Extraction stops at this
+    floor, so a sparse channel takes as many atoms as it has components
+    rather than filling the budget with noise fits.
 
     This is a heuristic bound, not a proof: the atoms are not
     orthogonal, so power does not split exactly among them, and the
@@ -219,9 +123,9 @@ def matched_filter_grid(
     """The greedy extractor's scan grid: ``(grid, grid_step_s)``.
 
     The step keeps the sub-grid phase error across the aperture below
-    the config's phase budget.  Shared by the scalar and batched
-    extractors so both scan the exact same candidate delays (and hence
-    hit the same cached NDFT operator).
+    the config's phase budget.  The grid is a pure function of
+    (frequencies, window, phase budget), so every stack of links on a
+    band plan hits the same cached NDFT operator.
     """
     freqs = np.asarray(frequencies_hz, dtype=float)
     span = float(freqs.max() - freqs.min())
@@ -242,9 +146,12 @@ def lasso_amplitudes(
     """L1-regularized amplitude fit on a small fixed dictionary.
 
     FISTA on ``min ||h - A x||² + α||x||₁`` with α relative to
-    ``max|Aᴴh|``.  Used as the *final* amplitude estimate after greedy
+    ``max|Aᴴh|``.  The *final* amplitude estimate after greedy
     extraction: unlike plain least squares it does not split energy onto
     pseudo-alias atoms that merely correlate with a true component.
+    The one-link reference of
+    :func:`repro.core.deflation_batch.lasso_amplitudes_batch`, which
+    calls it for links whose ``α`` is zero.
     """
     A = np.asarray(A, dtype=complex)
     h = np.asarray(h, dtype=complex)
@@ -278,8 +185,7 @@ def lasso_amplitudes(
 SOFT_GATE_WINDOW_S = 25e-9
 """Soft-tier window below the coarse gate, in the 2τ domain.
 
-Scaled by ``exponent / 2`` at the call sites.  Shared by the scalar
-estimator and the batched engine so the two hybrid paths cannot drift.
+Scaled by ``exponent / 2`` at the call site.
 """
 
 SOFT_GATE_AMPLITUDE_REL = 0.35
@@ -293,8 +199,7 @@ def gate_target_mean_s(
 
     The gate is ``coarse − margin`` (in the group's delay domain); the
     pre-margin coarse value is the energy-weighted mean-delay target the
-    ghost pruner tie-breaks against.  One definition for the scalar and
-    batched hybrid paths.
+    ghost pruner tie-breaks against.
     """
     if gate_s is None:
         return None
@@ -374,178 +279,3 @@ def ghost_shifts_s(
         shifts.append(k * period)
         k += 1
     return shifts
-
-
-def prune_ghost_atoms(
-    paths: list[RefinedPath],
-    channels: ComplexCSI,
-    frequencies_hz: FrequencyVector,
-    shifts_s: list[float],
-    max_delay_s: float,
-    margin_rel: float = 0.05,
-    final_alpha_rel: float = 0.1,
-    merge_tolerance_s: float = 0.4e-9,
-    target_mean_delay_s: float | None = None,
-    score_candidates: ScoreCandidates | None = None,
-) -> list[RefinedPath]:
-    """Relocate or remove atoms that are pseudo-aliases of real content.
-
-    Every atom is tested against copies of itself displaced by the known
-    ghost shifts (both directions).  The placement that minimizes the
-    joint least-squares residual wins.  When several placements fit
-    within ``margin_rel`` of the best, the residual alone cannot decide
-    (the lattice bands are blind to the shift); the tie-break then uses
-    ``target_mean_delay_s`` — the slope-derived energy-weighted mean
-    delay, which has **no lattice ambiguity**: the placement whose
-    model-implied weighted mean best matches it wins.  A ghost displaced
-    +50 ns of truth drags the model mean late of the slope estimate; a
-    ghost at −50 ns drags it early; the true placement matches.  Without
-    a target the latest admissible placement is kept (ghost energy
-    belongs at the true, usually later, location).  Atoms relocated onto
-    an existing neighbour merge into it.
-
-    ``score_candidates`` maps a ``(n_candidates, n_atoms)`` stack of
-    candidate delay sets to ``(rss, mean)`` arrays — residual power and
-    energy-weighted mean delay of the joint LS fit per candidate row.
-    The default scores row by row with ``np.linalg.lstsq``; the batched
-    pruner injects a stacked scorer with identical semantics so the
-    relocation *decisions* (and hence the returned delays) stay the
-    same while the per-candidate solver overhead amortizes.
-    """
-    if not paths or not shifts_s:
-        return paths
-    h = np.asarray(channels, dtype=complex)
-    freqs = np.asarray(frequencies_hz, dtype=float)
-    delays = relocate_ghost_delays(
-        paths,
-        h,
-        freqs,
-        shifts_s,
-        max_delay_s,
-        margin_rel=margin_rel,
-        merge_tolerance_s=merge_tolerance_s,
-        target_mean_delay_s=target_mean_delay_s,
-        score_candidates=score_candidates,
-    )
-    amps = lasso_amplitudes(ndft_matrix(freqs, delays), h, final_alpha_rel)
-    return finalize_pruned_paths(delays, amps)
-
-
-def relocate_ghost_delays(
-    paths: list[RefinedPath],
-    h: ComplexCSI,
-    freqs: FrequencyVector,
-    shifts_s: list[float],
-    max_delay_s: float,
-    margin_rel: float = 0.05,
-    merge_tolerance_s: float = 0.4e-9,
-    target_mean_delay_s: float | None = None,
-    score_candidates: ScoreCandidates | None = None,
-) -> DelayVector:
-    """The relocation sweeps of :func:`prune_ghost_atoms`, delays only.
-
-    Split out so the batched pruner can run the (data-dependent)
-    relocation per link and then fit every link's final amplitudes in
-    one batched L1 solve; the scalar pruner composes this with a scalar
-    :func:`lasso_amplitudes` call and :func:`finalize_pruned_paths`.
-    """
-    delays = np.array(sorted(p.delay_s for p in paths))
-
-    def fit_for(d: DelayVector) -> tuple[float, float]:
-        """(residual power, energy-weighted mean delay) of an LS fit."""
-        A = ndft_matrix(freqs, d)
-        amps, *_ = np.linalg.lstsq(A, h, rcond=None)
-        r = h - A @ amps
-        weights = np.abs(amps) ** 2
-        total = float(weights.sum())
-        mean = float((weights * d).sum() / total) if total > 0 else 0.0
-        return float(np.vdot(r, r).real), mean
-
-    scorer = score_candidates
-    if scorer is None:
-
-        def _default_scorer(alt_sets: FloatGrid) -> tuple[FloatVector, FloatVector]:
-            scored = [fit_for(alt) for alt in alt_sets]
-            return (
-                np.array([s[0] for s in scored]),
-                np.array([s[1] for s in scored]),
-            )
-
-        scorer = _default_scorer
-
-    for _ in range(3):  # a few sweeps; usually converges in one
-        changed = False
-        i = 0
-        while i < len(delays):
-            base = delays[i]
-            candidates = [base]
-            for shift in shifts_s:
-                for signed in (base + shift, base - shift):
-                    if 0.0 <= signed < max_delay_s:
-                        candidates.append(signed)
-            alt_sets = np.tile(delays, (len(candidates), 1))
-            alt_sets[:, i] = candidates
-            rss_all, mean_all = scorer(alt_sets)
-            best_rss = float(np.min(rss_all))
-            admissible = [
-                (float(mean), c)
-                for rss, mean, c in zip(rss_all, mean_all, candidates, strict=True)
-                if rss <= best_rss * (1.0 + margin_rel)
-            ]
-            if target_mean_delay_s is not None:
-                chosen = min(admissible, key=lambda mc: abs(mc[0] - target_mean_delay_s))[1]
-            else:
-                chosen = max(c for _, c in admissible)
-            if abs(chosen - base) > 1e-15:
-                changed = True
-                near = np.abs(np.delete(delays, i) - chosen) < merge_tolerance_s
-                if near.any():
-                    delays = np.delete(delays, i)  # merged into neighbour
-                    continue
-                delays[i] = chosen
-                delays = np.sort(delays)
-            i += 1
-        if not changed:
-            break
-    return delays
-
-
-def finalize_pruned_paths(delays: DelayVector, amps: ComplexProfile) -> list[RefinedPath]:
-    """Assemble pruned paths from relocated delays and final amplitudes."""
-    result = [RefinedPath(float(d), complex(a)) for d, a in zip(delays, amps, strict=True)]
-    # Relocated redundant ghosts end up with ~zero amplitude; drop them.
-    peak = max(abs(p.amplitude) for p in result) if result else 0.0
-    if peak > 0.0:
-        cleaned = [p for p in result if abs(p.amplitude) >= 0.005 * peak]
-        if cleaned:
-            result = cleaned
-    result.sort(key=lambda p: p.delay_s)
-    return result
-
-
-def _polish(
-    residual: np.ndarray,
-    freqs: np.ndarray,
-    tau0_s: float,
-    half_window_s: float,
-    max_delay_s: float = np.inf,
-) -> float:
-    """Continuous refinement of one delay against the current residual.
-
-    The search is clamped to ``[0, max_delay_s]``: the scan grid is
-    built for the CRT-unique window, and an unclamped polish around its
-    last bin could walk the refined delay past the window edge — onto a
-    delay the aperture cannot distinguish from an alias inside it.
-    """
-
-    def correlation(tau_s: float) -> float:
-        return float(np.abs(np.vdot(steering_vector(freqs, tau_s), residual)))
-
-    lo = max(tau0_s - half_window_s, 0.0)
-    hi = min(tau0_s + half_window_s, max_delay_s)
-    scan = np.linspace(lo, hi, 17)
-    coarse = float(scan[int(np.argmax(scan_correlations(residual, freqs, scan)))])
-    step = float(scan[1] - scan[0])
-    return _golden_max(
-        correlation, max(coarse - step, 0.0), min(coarse + step, max_delay_s)
-    )

@@ -1,15 +1,27 @@
-"""Vectorized greedy off-grid path extraction for stacks of links.
+"""Greedy off-grid path extraction for stacks of links.
 
-:func:`repro.core.deflation.extract_paths` is the accuracy core of the
-default ``method="hybrid"`` estimator, but it is a per-link scalar loop:
-one matched-filter GEMV, one 17-point scan, and ~60 golden-section
-correlation evaluations per extracted atom, each a separate tiny NumPy
-call.  For a ranging service the interpreter overhead of those calls —
-not the flops — dominates the hybrid hot path.
+The accuracy core of the default ``method="hybrid"`` estimator
+(:mod:`repro.core.deflation` explains why it extracts off-grid): per
+link,
 
-This module runs the same greedy deflation for ``N`` links in lockstep,
-mirroring the freezing discipline of
-:func:`repro.core.sparse.invert_ndft_batch`:
+1. matched-filter the residual on a grid fine enough that the true
+   (continuous) delay is represented almost losslessly,
+2. polish the winning delay continuously (golden-section),
+3. jointly least-squares re-fit all amplitudes, deflate, repeat until
+   the next atom falls below the signal floor
+   (:func:`repro.core.deflation.signal_floor_rel`) or the atom budget
+   is spent.
+
+Because every extracted atom matches its component exactly (no grid
+quantization), nothing leaks onto pseudo-aliases, and the residual after
+the true components is pure noise.
+
+Run one link at a time, that loop is one matched-filter GEMV, one
+17-point scan and ~60 golden-section correlation evaluations per
+extracted atom, each a separate tiny NumPy call; the interpreter
+overhead of those calls, not the flops, would dominate.  So every
+kernel here runs ``N`` links in lockstep, following the freezing
+discipline of :func:`repro.core.sparse.invert_ndft_batch`:
 
 * the matched-filter scan over the stacked residuals is one GEMM with
   the cached operator's adjoint (``|Fᴴ R|`` for all links at once);
@@ -23,17 +35,17 @@ mirroring the freezing discipline of
   ``np.linalg.lstsq`` on a 35×k matrix is noise next to the scans);
 * a link whose next atom falls below the signal floor — it removes
   less than ``amplitude_keep_rel² / max_paths`` of the link's input
-  power (:func:`repro.core.deflation.signal_floor_rel`) or less than
-  ``min_improvement_rel`` of the current residual — freezes at its
-  current path list while the rest keep extracting.  That is the
-  scalar loop's stopping rule, applied per link; a sparse link stops
-  after its real components instead of running to the atom budget.
+  power or less than ``min_improvement_rel`` of the current residual —
+  freezes at its current path list while the rest keep extracting, so
+  a sparse link stops after its real components instead of running to
+  the atom budget.
 
-Per-link semantics are unchanged: every decision (grid argmax, polish
-bracket, improvement test, fallback atom, final L1 amplitude fit) uses
-the same arithmetic as the scalar extractor on the same values, so
-batched and scalar extractions agree to floating-point noise (the
-regression tests pin delays at 1e-12 s and path counts exactly).
+Every decision (grid argmax, polish bracket, improvement test, fallback
+atom, final L1 amplitude fit) is taken per link on that link's own
+values, so a row solved alone — the one-link
+:class:`~repro.core.tof.TofEstimator` call — and the same row inside a
+stack agree to floating-point noise (the regression tests pin delays at
+1e-12 s and path counts exactly).
 """
 
 from __future__ import annotations
@@ -45,12 +57,9 @@ import numpy as np
 from repro.analysis.contracts import shaped
 from repro.core.deflation import (
     DeflationConfig,
-    ScoreCandidates,
-    finalize_pruned_paths,
     first_path_delay,
     lasso_amplitudes,
     matched_filter_grid,
-    relocate_ghost_delays,
     signal_floor_rel,
 )
 from repro.core.ndft import get_operator, ndft_matrix, steering_vector
@@ -77,12 +86,10 @@ def extract_paths_batch(
 ) -> list[list[RefinedPath]]:
     """Greedy off-grid decomposition of every row of ``channels``.
 
-    The batched counterpart of
-    :func:`repro.core.deflation.extract_paths`: one path list per link,
-    each equal (to floating-point noise) to what the scalar extractor
-    returns for that row alone.  Each link stops at its first atom that
-    removes less than ``max(min_improvement_rel × residual power,
-    floor × input power)``, with the floor from
+    One path list per link, each equal (to floating-point noise) to
+    what that row returns as a one-row stack.  Each link stops at its
+    first atom that removes less than ``max(min_improvement_rel ×
+    residual power, floor × input power)``, with the floor from
     :func:`repro.core.deflation.signal_floor_rel`, or when the atom
     budget is spent.
 
@@ -97,7 +104,7 @@ def extract_paths_batch(
     Returns:
         For each link, paths sorted by delay with final joint-L1
         amplitudes — ``[]`` for an all-zero row, and always at least one
-        path otherwise (the scalar fallback atom).
+        path otherwise (the fallback atom below).
     """
     cfg = config or DeflationConfig()
     floor_rel = signal_floor_rel(amplitude_keep_rel, cfg.max_paths)
@@ -167,8 +174,8 @@ def extract_paths_batch(
 
     results: list[list[RefinedPath]] = [[] for _ in range(n_links)]
     # Links whose first extraction step failed the improvement test get
-    # the scalar fallback: the single best-matching atom of the raw
-    # channel, so callers always see at least one path.
+    # a fallback: the single best-matching atom of the raw channel, so
+    # callers always see at least one path.
     fallback = np.flatnonzero(
         (total_power > 0.0) & np.array([not d for d in delays])
     )
@@ -206,20 +213,16 @@ def prune_ghost_atoms_batch(
     final_alpha_rel: float = 0.1,
     target_mean_delays_s: list[float | None] | None = None,
 ) -> list[list[RefinedPath]]:
-    """Ghost-atom pruning applied across a stack of links.
+    """Relocate or remove atoms that are pseudo-aliases of real content.
 
-    The shift family is a pure function of the band plan, so callers
-    compute it once (:func:`repro.core.deflation.ghost_shifts_s`) for
-    the whole stack.  The relocation sweep is data-dependent per link,
-    but its cost is the per-candidate least-squares scoring — here each
-    atom's whole candidate family is scored in one stacked-SVD solve
-    (:func:`_lstsq_stack`, semantics matching ``np.linalg.lstsq``)
-    instead of one ``lstsq`` call per candidate.  Relocation decisions
-    compare residuals against 5 %-margin thresholds, so the two scorers
-    pick the same placements and the returned delays are identical — a
-    flipped decision would move a delay by a full lattice shift
-    (≥ 50 ns), which the batch/scalar regression tests would catch at
-    their 1e-12 s pin.
+    Per link, :func:`relocate_ghost_delays` moves each atom to its best
+    placement among its ghost-shifted copies; then one batched L1 solve
+    fits every link's final amplitudes, and :func:`finalize_pruned_paths`
+    drops the atoms a relocation left redundant.  The shift family is a
+    pure function of the band plan, so callers compute it once
+    (:func:`repro.core.deflation.ghost_shifts_s`) for the whole stack.
+    ``target_mean_delays_s`` carries each link's slope-derived mean
+    delay target (``None`` for none).
     """
     H = np.asarray(channels, dtype=complex)
     if H.ndim != 2 or H.shape[0] != len(paths_per_link):
@@ -247,7 +250,6 @@ def prune_ghost_atoms_batch(
             shifts_s,
             max_delay_s,
             target_mean_delay_s=targets[link],
-            score_candidates=_stacked_candidate_scorer(H[link], freqs),
         )
     fitted = sorted(relocated)
     amp_sets = lasso_amplitudes_batch(
@@ -259,6 +261,87 @@ def prune_ghost_atoms_batch(
     for link, amps in zip(fitted, amp_sets, strict=True):
         results[link] = finalize_pruned_paths(relocated[link], amps)
     return results
+
+
+def relocate_ghost_delays(
+    paths: list[RefinedPath],
+    h: ComplexCSI,
+    freqs: FrequencyVector,
+    shifts_s: list[float],
+    max_delay_s: float,
+    margin_rel: float = 0.05,
+    merge_tolerance_s: float = 0.4e-9,
+    target_mean_delay_s: float | None = None,
+) -> DelayVector:
+    """One link's ghost relocation sweeps: the pruned atom delays.
+
+    Every atom is tested against copies of itself displaced by the known
+    ghost shifts (both directions).  The placement that minimizes the
+    joint least-squares residual wins.  When several placements fit
+    within ``margin_rel`` of the best, the residual alone cannot decide
+    (the lattice bands are blind to the shift); the tie-break then uses
+    ``target_mean_delay_s`` — the slope-derived energy-weighted mean
+    delay, which has **no lattice ambiguity**: the placement whose
+    model-implied weighted mean best matches it wins.  A ghost displaced
+    +50 ns of truth drags the model mean late of the slope estimate; a
+    ghost at −50 ns drags it early; the true placement matches.  Without
+    a target the latest admissible placement is kept (ghost energy
+    belongs at the true, usually later, location).  Atoms relocated onto
+    an existing neighbour merge into it.
+
+    Each atom's whole candidate family is scored in one stacked solve
+    (:func:`_candidate_fits`) instead of one ``lstsq`` call per
+    candidate.
+    """
+    delays = np.array(sorted(p.delay_s for p in paths))
+    for _ in range(3):  # a few sweeps; usually converges in one
+        changed = False
+        i = 0
+        while i < len(delays):
+            base = delays[i]
+            candidates = [base]
+            for shift in shifts_s:
+                for signed in (base + shift, base - shift):
+                    if 0.0 <= signed < max_delay_s:
+                        candidates.append(signed)
+            alt_sets = np.tile(delays, (len(candidates), 1))
+            alt_sets[:, i] = candidates
+            rss_all, mean_all = _candidate_fits(alt_sets, h, freqs)
+            best_rss = float(np.min(rss_all))
+            admissible = [
+                (float(mean), c)
+                for rss, mean, c in zip(rss_all, mean_all, candidates, strict=True)
+                if rss <= best_rss * (1.0 + margin_rel)
+            ]
+            if target_mean_delay_s is not None:
+                chosen = min(admissible, key=lambda mc: abs(mc[0] - target_mean_delay_s))[1]
+            else:
+                chosen = max(c for _, c in admissible)
+            if abs(chosen - base) > 1e-15:
+                changed = True
+                near = np.abs(np.delete(delays, i) - chosen) < merge_tolerance_s
+                if near.any():
+                    delays = np.delete(delays, i)  # merged into neighbour
+                    continue
+                delays[i] = chosen
+                delays = np.sort(delays)
+            i += 1
+        if not changed:
+            break
+    return delays
+
+
+def finalize_pruned_paths(delays: DelayVector, amps: ComplexProfile) -> list[RefinedPath]:
+    """Assemble pruned paths from relocated delays and final amplitudes."""
+    result = [RefinedPath(float(d), complex(a)) for d, a in zip(delays, amps, strict=True)]
+    # Relocated redundant ghosts end up with ~zero amplitude; drop them.
+    peak = max(abs(p.amplitude) for p in result) if result else 0.0
+    if peak > 0.0:
+        cleaned = [p for p in result if abs(p.amplitude) >= 0.005 * peak]
+        if cleaned:
+            result = cleaned
+    result.sort(key=lambda p: p.delay_s)
+    return result
 
 
 def first_path_delays_batch(
@@ -405,8 +488,8 @@ def _lstsq_stack(A: np.ndarray, h: np.ndarray) -> np.ndarray:
     noise next to the pruner's 5 % decision margins.  Exactly singular
     systems (duplicate columns — a ghost candidate landing on an atom a
     previous sweep already snapped to that delay) make ``solve`` raise;
-    those fall back to per-system ``np.linalg.lstsq``, whose min-norm
-    fit is what the scalar pruner computes there.
+    those fall back to per-system ``np.linalg.lstsq`` and its min-norm
+    fit.
     """
     Ah = A.conj().transpose(0, 2, 1)
     G = Ah @ A
@@ -422,31 +505,29 @@ def _lstsq_stack(A: np.ndarray, h: np.ndarray) -> np.ndarray:
     )
 
 
-def _stacked_candidate_scorer(h: ComplexCSI, freqs: FrequencyVector) -> ScoreCandidates:
-    """A ``score_candidates`` hook scoring a whole candidate family at once.
+def _candidate_fits(
+    alt_sets: FloatGrid, h: ComplexCSI, freqs: FrequencyVector
+) -> tuple[FloatVector, FloatVector]:
+    """``(rss, mean)`` of the joint LS fit of each candidate delay set.
 
-    Returns the ``(rss, mean)`` pair per candidate row that
-    :func:`repro.core.deflation.prune_ghost_atoms` compares against its
-    relative margins — computed with one stacked SVD instead of one
-    ``np.linalg.lstsq`` call per candidate.
+    Row ``c`` of the ``(n_candidates, n_atoms)`` stack ``alt_sets`` gets
+    its residual power and energy-weighted mean delay, the pair that
+    :func:`relocate_ghost_delays` compares against its relative margin,
+    from one stacked solve (:func:`_lstsq_stack`).
     """
-
-    def score(alt_sets: FloatGrid) -> tuple[FloatVector, FloatVector]:
-        A = np.exp(-2.0j * np.pi * freqs[None, :, None] * alt_sets[:, None, :])
-        amps = _lstsq_stack(A, h)
-        r = h[None, :] - np.einsum("cbk,ck->cb", A, amps)
-        rss = np.einsum("cb,cb->c", r, r.conj()).real
-        weights = np.abs(amps) ** 2
-        total = weights.sum(axis=1)
-        mean = np.divide(
-            (weights * alt_sets).sum(axis=1),
-            total,
-            out=np.zeros(len(alt_sets)),
-            where=total > 0,
-        )
-        return rss, mean
-
-    return score
+    A = np.exp(-2.0j * np.pi * freqs[None, :, None] * alt_sets[:, None, :])
+    amps = _lstsq_stack(A, h)
+    r = h[None, :] - np.einsum("cbk,ck->cb", A, amps)
+    rss = np.einsum("cb,cb->c", r, r.conj()).real
+    weights = np.abs(amps) ** 2
+    total = weights.sum(axis=1)
+    mean = np.divide(
+        (weights * alt_sets).sum(axis=1),
+        total,
+        out=np.zeros(len(alt_sets)),
+        where=total > 0,
+    )
+    return rss, mean
 
 
 def full_aperture_refit_batch(
@@ -457,23 +538,21 @@ def full_aperture_refit_batch(
     polish_window_s: float = 0.2e-9,
     max_delay_s: float = np.inf,
 ) -> list[list[RefinedPath]]:
-    """Full-aperture re-fit of coarse-group paths, across a stack of links.
+    """Re-fit coarse-group paths against every band, across a stack of links.
 
-    The batched counterpart of
-    :meth:`repro.core.tof.TofEstimator._full_aperture_refit`, driven by
-    the same lockstep bracket machinery as the extraction polish: the
-    scalar refit's two sweeps of per-atom golden-section searches (the
-    ~60 tiny correlation calls per atom that dominate the mixed-aperture
-    hybrid path) advance **all links' k-th atoms one bracket step per
-    iteration** through :func:`_polish_batch`.
+    The coarse extraction already pins each delay to a few tens of
+    picoseconds; polishing within a ``±polish_window_s`` window against
+    the full stitched aperture (potentially several GHz) buys its
+    resolution without exposure to far pseudo-aliases.
 
-    Per-link semantics are unchanged: each round re-fits amplitudes
-    jointly, then polishes atom ``k`` against the residual of the
+    Two rounds per link: each re-fits the amplitudes jointly by least
+    squares, then polishes atom ``k`` against the residual of the
     *current* delays (atoms below ``k`` already moved this round) with
-    the round's amplitudes — exactly the scalar loop's update order, so
-    batched and scalar refits agree to floating-point noise.  The final
-    amplitudes come from the batched L1 fit, matching the scalar path's
-    :func:`~repro.core.deflation.lasso_amplitudes` per link.
+    the round's amplitudes.  The polish is the extraction's lockstep
+    bracket machinery: all links' ``k``-th atoms advance one
+    golden-section step per iteration through :func:`_polish_batch`.
+    The final amplitudes come from one batched L1 fit
+    (:func:`lasso_amplitudes_batch`).
 
     Args:
         paths_per_link: Each link's coarse-extraction paths (empty lists
@@ -482,7 +561,10 @@ def full_aperture_refit_batch(
         channels: ``(n_links, n_bands)`` stacked full-aperture products.
         final_alpha_rel: L1 weight of the final amplitude fit.
         polish_window_s: Half-width of the per-atom polish window.
-        max_delay_s: CRT-unique window clamp, as in the scalar refit.
+        max_delay_s: The CRT-unique window the coarse extraction ran
+            in.  The polish is clamped to it: a delay near the window
+            edge must not be refined past it onto an indistinguishable
+            alias.
     """
     freqs = np.asarray(frequencies_hz, dtype=float)
     H = np.asarray(channels, dtype=complex)
@@ -558,12 +640,18 @@ def _polish_batch(
 ) -> DelayVector:
     """Continuous per-link refinement of one delay each, in lockstep.
 
-    Vectorized mirror of :func:`repro.core.deflation._polish` (including
-    its clamp to the CRT-unique window): a 17-point scan isolates the
-    main lobe per link, then a golden-section search shrinks every
-    link's bracket one step per iteration — one new correlation point
-    per link per iteration, evaluated for all links at once — freezing
-    links whose bracket is below tolerance, until all are.
+    Per link, maximizes ``|⟨a(τ), residual⟩|`` within ``half_window_s``
+    of ``tau0``: a 17-point scan isolates the main lobe, then a
+    golden-section search shrinks every link's bracket one step per
+    iteration — one new correlation point per link per iteration,
+    evaluated for all links at once — freezing links whose bracket is
+    below tolerance, until all are.
+
+    The search is clamped to ``[0, max_delay_s]``: the scan grid is
+    built for the CRT-unique window, and an unclamped polish around its
+    last bin could walk the refined delay past the window edge — onto a
+    delay the aperture cannot distinguish from an alias inside it.  An
+    unclamped call passes ``max_delay_s=np.inf``.
     """
     lo = np.maximum(tau0 - half_window_s, 0.0)
     hi = np.minimum(tau0 + half_window_s, max_delay_s)

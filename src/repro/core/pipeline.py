@@ -300,7 +300,6 @@ class ChronosPair:
         tx_antenna: int | None = None,
         position_hint: Point | None = None,
         tolerance_m: float = 0.3,
-        batched: bool = True,
     ) -> PairFix:
         """Locate the transmitter from per-rx-antenna distances.
 
@@ -314,10 +313,8 @@ class ChronosPair:
         ``tx_antenna``, only that antenna transmits (the phone-class
         single-antenna case).
 
-        ``batched=True`` (default) routes all antenna-pair links through
-        the batched ranging engine in one submission; ``False`` keeps
-        the sequential per-pair path (the two agree to floating-point
-        noise).
+        All antenna-pair links are ranged in one batched-engine
+        submission (:meth:`measure_tof_batch`).
 
         This method serves *one* pair; a deployment localizing many
         clients per tick should solve their circle systems together
@@ -336,17 +333,10 @@ class ChronosPair:
             for rx_idx in range(self.receiver.n_antennas)
             for t in tx_indices
         ]
-        if batched:
-            estimates = self.measure_tof_batch(pairs, n_sweeps=n_sweeps)
-            pair_distance = {
-                pair: est.distance_m
-                for pair, est in zip(pairs, estimates, strict=True)
-            }
-        else:
-            pair_distance = {
-                pair: self.measure_distance(pair[0], pair[1], n_sweeps)
-                for pair in pairs
-            }
+        estimates = self.measure_tof_batch(pairs, n_sweeps=n_sweeps)
+        pair_distance = {
+            pair: est.distance_m for pair, est in zip(pairs, estimates, strict=True)
+        }
         distance_list: list[float] = []
         for rx_idx in range(self.receiver.n_antennas):
             per_tx = [pair_distance[(t, rx_idx)] for t in tx_indices]

@@ -25,30 +25,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.core.cfo import LinkCalibration, band_products
-from repro.core.deflation import (
-    SOFT_GATE_AMPLITUDE_REL,
-    SOFT_GATE_WINDOW_S,
-    DeflationConfig,
-    extract_paths,
-    first_path_delay,
-    gate_target_mean_s,
-    ghost_shifts_s,
-    lasso_amplitudes,
-    prune_ghost_atoms,
-)
-from repro.core.ndft import (
-    capped_window_s,
-    get_grid_operator,
-    ndft_matrix,
-    tau_grid,
-)
-from repro.core.profile import (
-    MultipathProfile,
-    RefinedPath,
-    refine_first_peak,
-    _golden_max,
-)
-from repro.core.sparse import SparseSolverConfig, invert_ndft
+from repro.core.deflation import DeflationConfig
+from repro.core.ndft import tau_grid
+from repro.core.profile import MultipathProfile, RefinedPath, refine_first_peak
+from repro.core.sparse import SparseSolverConfig
 from repro.core.typing import BoolMask, ComplexCSI, FrequencyVector
 from repro.rf.constants import SPEED_OF_LIGHT
 from repro.wifi.bands import Band
@@ -195,7 +175,13 @@ class TofEstimate:
 
 
 class TofEstimator:
-    """Turns CSI sweeps into sub-nanosecond time-of-flight estimates."""
+    """Turns CSI sweeps into sub-nanosecond time-of-flight estimates.
+
+    The one-link API of :class:`~repro.core.batch.BatchTofEngine`: each
+    call solves its link as a batch of one.  The per-link policy the
+    engine applies (band grouping, coarse gate, peak selection, fusion)
+    lives here.
+    """
 
     def __init__(
         self,
@@ -216,25 +202,15 @@ class TofEstimator:
         """Estimate ToF from several sweeps (products averaged per band).
 
         Averaging across sweeps implements the paper's §7 observation (1):
-        the residual-CFO phase error is zero-mean across packets.
+        the residual-CFO phase error is zero-mean across packets.  The
+        link is solved as a one-link batch of :class:`BatchTofEngine`.
         """
-        if not sweeps:
-            raise ValueError("need at least one sweep")
-        coarse_rt, jobs = self._link_jobs(sweeps, self.calibration)
-        groups = [
-            self._estimate_group(name, freqs, products, exponent, gate)
-            for name, freqs, products, exponent, gate in jobs
-        ]
-        if not groups:
-            raise ValueError("no usable band group in the sweep")
-        raw = self._fuse(groups)
-        return TofEstimate(
-            tof_s=self.calibration.apply(raw),
-            raw_tof_s=raw,
-            groups=tuple(groups),
-            n_bands=sum(g.n_bands for g in groups),
-            coarse_round_trip_s=coarse_rt,
-        )
+        # Imported here: repro.core.batch imports this module.
+        from repro.core.batch import BatchTofEngine
+
+        return BatchTofEngine(self.config).estimate_sweeps_batch(
+            [sweeps], [self.calibration]
+        )[0]
 
     def estimate_from_products(
         self,
@@ -245,30 +221,21 @@ class TofEstimator:
         """Estimate ToF from already-computed band products.
 
         Used by unit tests and by benchmarks that replay the paper's
-        worked examples without simulating packets.
+        worked examples without simulating packets.  The row is solved
+        as a one-link batch of :class:`BatchTofEngine`, so an unsolvable
+        row fails with the engine's named ``ValueError``.
         """
-        freqs = np.asarray(frequencies_hz, dtype=float)
-        stacked = np.asarray(products, dtype=complex)
-        # Eager validation mirroring the batch engine: a mismatch must
-        # fail here with the shapes named, not as an opaque matmul error
-        # deep inside the NDFT.
-        if stacked.ndim != 1:
-            raise ValueError(
-                f"products must be 1-D (n_bands,), got {stacked.shape}"
-            )
-        if stacked.shape[0] != len(freqs):
-            raise ValueError(
-                f"products have {stacked.shape[0]} bands but "
-                f"{len(freqs)} frequencies were given"
-            )
-        group = self._estimate_group("direct", freqs, stacked, exponent, None)
-        raw = group.tof_s
-        return TofEstimate(
-            tof_s=self.calibration.apply(raw),
-            raw_tof_s=raw,
-            groups=(group,),
-            n_bands=group.n_bands,
-        )
+        # Imported here: repro.core.batch imports this module.
+        from repro.core.batch import BatchTofEngine
+
+        row = np.asarray(products, dtype=complex)
+        # Checked here so the error names this call's shape; the engine
+        # checks the band count against the frequencies.
+        if row.ndim != 1:
+            raise ValueError(f"products must be 1-D (n_bands,), got {row.shape}")
+        return BatchTofEngine(self.config).estimate_products_batch(
+            frequencies_hz, row[None, :], exponent, [self.calibration]
+        )[0]
 
     # ------------------------------------------------------------------
     # Internals
@@ -302,12 +269,10 @@ class TofEstimator:
 
         Returns ``(coarse_round_trip_s, jobs)`` where each job is
         ``(group name, frequencies, products, exponent, gate_s)``.
-        This is the single source of the gating/grouping semantics —
-        :meth:`estimate_many` runs the jobs through the scalar group
-        estimator, while the batched engine stacks the jobs of many
-        links and solves each frequency set in one shot.  Keeping one
-        implementation is what keeps the two paths estimate-for-
-        estimate identical.
+        This is the single source of the gating/grouping semantics:
+        :class:`~repro.core.batch.BatchTofEngine` runs it per link, then
+        stacks the jobs of all links by frequency set and solves each
+        set in one shot.  :meth:`estimate_many` is the one-link case.
         """
         coarse_rt = self._coarse_round_trip(sweeps)
         gate_2tau = None
@@ -369,95 +334,6 @@ class TofEstimator:
             return None
         return float(np.mean(values))
 
-    def _estimate_group(
-        self,
-        name: str,
-        freqs: FrequencyVector,
-        products: ComplexCSI,
-        exponent: int,
-        gate_s: float | None,
-    ) -> GroupEstimate:
-        """Coarse sparse inversion + full-aperture off-grid refinement.
-
-        A delay grid coarse enough to be tractable cannot represent an
-        off-grid atom across a multi-GHz stitched aperture: the residual
-        sub-grid offset rotates the highest band by several radians and
-        the best on-grid explanation becomes a CRT pseudo-alias hundreds
-        of ns away.  The cure mirrors the CRT structure itself: solve
-        the sparse inversion on the widest *5-MHz-gridded* subgroup
-        (the 5 GHz bands — aperture 645 MHz, safely representable on a
-        0.5 ns grid), then refine the detected peaks off-grid against
-        **all** bands, gaining the full stitched-aperture resolution
-        without its grid pathology.
-        """
-        coarse_mask = self._coarse_mask(freqs)
-        coarse_freqs = freqs[coarse_mask]
-        coarse_products = products[coarse_mask]
-        window = capped_window_s(coarse_freqs, self.config.max_profile_delay_s)
-        if self.config.method == "hybrid":
-            paths = extract_paths(
-                coarse_products,
-                coarse_freqs,
-                window,
-                self.config.deflation,
-                amplitude_keep_rel=self.config.first_peak_amplitude_rel,
-            )
-            target_mean = gate_target_mean_s(
-                gate_s, self.config.coarse_gate_margin_s, exponent
-            )
-            paths = prune_ghost_atoms(
-                paths,
-                coarse_products,
-                coarse_freqs,
-                ghost_shifts_s(coarse_freqs, window),
-                max_delay_s=window,
-                final_alpha_rel=self.config.deflation.final_alpha_rel,
-                target_mean_delay_s=target_mean,
-            )
-            if not coarse_mask.all():
-                paths = self._full_aperture_refit(
-                    paths, freqs, products, max_delay_s=window
-                )
-            delay = first_path_delay(
-                paths,
-                self.config.first_peak_amplitude_rel,
-                min_delay_s=gate_s or 0.0,
-                soft_window_s=SOFT_GATE_WINDOW_S * exponent / 2.0,
-                soft_amplitude_rel=SOFT_GATE_AMPLITUDE_REL,
-            )
-            profile = self._make_profile(
-                window, coarse_freqs, coarse_products, paths
-            )
-            final_paths = tuple(paths)
-        else:
-            profile = self._ista_profile(window, coarse_freqs, coarse_products)
-            delay = self._ista_delay(profile, freqs, products, gate_s)
-            final_paths = ()
-        span = float(freqs.max() - freqs.min())
-        return GroupEstimate(
-            name=name,
-            tof_s=delay / exponent,
-            span_hz=span,
-            n_bands=len(freqs),
-            exponent=exponent,
-            profile=profile,
-            paths=final_paths,
-        )
-
-    def _ista_profile(
-        self, window_s: float, freqs: FrequencyVector, products: ComplexCSI
-    ) -> MultipathProfile:
-        """Algorithm 1's multipath profile on the coarse band set."""
-        op = get_grid_operator(freqs, window_s, self.config.grid_step_s)
-        solution = invert_ndft(
-            products, freqs, op.taus_s, self.config.sparse, operator=op
-        )
-        return MultipathProfile(
-            op.taus_s,
-            solution,
-            dominance_threshold_rel=self.config.peak_threshold_rel,
-        )
-
     def _ista_delay(
         self,
         profile: MultipathProfile,
@@ -467,9 +343,8 @@ class TofEstimator:
     ) -> float:
         """First-peak selection + refinement on an Algorithm 1 profile.
 
-        Shared by the scalar path and the batched engine (which computes
-        the profiles of many links in one solver run, then applies this
-        per link) so the two stay estimate-for-estimate identical.
+        The batched engine computes the profiles of many links in one
+        solver run, then applies this per link.
         """
         peaks = profile.peaks()
         if gate_s is not None:
@@ -485,15 +360,9 @@ class TofEstimator:
         return delay
 
     def _make_profile(
-        self,
-        window_s: float,
-        freqs: FrequencyVector,
-        products: ComplexCSI,
-        paths: list[RefinedPath],
+        self, window_s: float, paths: list[RefinedPath]
     ) -> MultipathProfile:
-        """Diagnostic profile: Algorithm 1, or rasterized extracted paths."""
-        if self.config.compute_profile:
-            return self._ista_profile(window_s, freqs, products)
+        """Diagnostic profile rasterized from the extracted paths."""
         grid = tau_grid(window_s, self.config.grid_step_s)
         amps = np.zeros(len(grid), dtype=complex)
         for p in paths:
@@ -502,56 +371,6 @@ class TofEstimator:
         return MultipathProfile(
             grid, amps, dominance_threshold_rel=self.config.peak_threshold_rel
         )
-
-    def _full_aperture_refit(
-        self,
-        paths: list[RefinedPath],
-        freqs: FrequencyVector,
-        products: ComplexCSI,
-        polish_window_s: float = 0.2e-9,
-        max_delay_s: float = np.inf,
-    ) -> list[RefinedPath]:
-        """Re-fit coarse-group paths against every band in the group.
-
-        The coarse extraction already pins each delay to a few tens of
-        picoseconds; polishing within a ±0.2 ns window against the full
-        stitched aperture (potentially several GHz) buys its resolution
-        without exposure to far pseudo-aliases.  ``max_delay_s`` clamps
-        the polish to the CRT-unique window the coarse extraction was
-        run in — a delay near the window edge must not be refined past
-        it onto an indistinguishable alias.
-        """
-        if not paths:
-            return paths
-        delays = np.array([p.delay_s for p in paths])
-        for _ in range(2):
-            A = ndft_matrix(freqs, delays)
-            amps, *_ = np.linalg.lstsq(A, products, rcond=None)
-            for k in range(len(delays)):
-                others = np.delete(np.arange(len(delays)), k)
-                residual = products - ndft_matrix(freqs, delays[others]) @ amps[others]
-
-                def correlation(tau_s: float) -> float:
-                    steering = np.exp(-2.0j * np.pi * freqs * tau_s)
-                    return float(np.abs(np.vdot(steering, residual)))
-
-                lo = max(delays[k] - polish_window_s, 0.0)
-                hi = min(delays[k] + polish_window_s, max_delay_s)
-                scan = np.linspace(lo, hi, 17)
-                coarse = float(scan[int(np.argmax([correlation(t) for t in scan]))])
-                step = float(scan[1] - scan[0])
-                delays[k] = _golden_max(
-                    correlation,
-                    max(coarse - step, 0.0),
-                    min(coarse + step, max_delay_s),
-                )
-        A = ndft_matrix(freqs, delays)
-        amps = lasso_amplitudes(A, products, self.config.deflation.final_alpha_rel)
-        refit = [
-            RefinedPath(float(d), complex(a)) for d, a in zip(delays, amps, strict=True)
-        ]
-        refit.sort(key=lambda p: p.delay_s)
-        return refit
 
     def _coarse_mask(self, freqs: FrequencyVector) -> BoolMask:
         """Bands used for the coarse (on-grid) sparse inversion.

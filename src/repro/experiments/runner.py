@@ -87,9 +87,12 @@ def run_tof_experiment(
     estimator_config: TofEstimatorConfig | None = None,
     n_packets_per_band: int = 3,
     n_sweeps: int = 1,
-    batched: bool = False,
 ) -> list[TofSample]:
     """The §12.1 accuracy experiment: ToF error across testbed pairs.
+
+    Every pair's CSI is acquired first, in the same RNG order as one
+    pair at a time; then all pairs are estimated in one batched-engine
+    submission.
 
     Args:
         n_pairs: Device-pair placements to evaluate.
@@ -100,10 +103,6 @@ def run_tof_experiment(
         estimator_config: Estimator settings (profile computation is
             disabled by default for speed — ToF-only here).
         n_packets_per_band / n_sweeps: Acquisition depth.
-        batched: Estimate every pair in one batched-engine submission
-            instead of a scalar loop.  Acquisition order (and therefore
-            the RNG stream and the measured CSI) is identical either
-            way, so the two paths agree to floating-point noise.
 
     Returns:
         One :class:`TofSample` per evaluated pair.
@@ -131,17 +130,9 @@ def run_tof_experiment(
         sweeps_per_link.append(
             [link.sweep(n_packets_per_band) for _ in range(n_sweeps)]
         )
-    if batched:
-        estimates = BatchTofEngine(cfg).estimate_sweeps_batch(
-            sweeps_per_link, calibrations
-        )
-    else:
-        estimates = [
-            TofEstimator(cfg, calibration).estimate_many(sweeps)
-            for calibration, sweeps in zip(
-                calibrations, sweeps_per_link, strict=True
-            )
-        ]
+    estimates = BatchTofEngine(cfg).estimate_sweeps_batch(
+        sweeps_per_link, calibrations
+    )
     return [
         TofSample(
             true_tof_s=link.true_tof_s,

@@ -323,12 +323,13 @@ class TestUnsolvableRows:
 
 
 class TestHybridBatchEquivalence:
-    """The vectorized hybrid (deflation) fast path against the scalar loop.
+    """The hybrid (deflation) method: a stack against each link alone.
 
-    The engine's default method went batch-first; these pin batched ==
-    scalar at 1e-12 s per link and identical extracted path counts over
-    band subsets, NLOS-ish multipath, gated/ungated links, and the
-    degenerate single-path case.
+    The scalar :class:`TofEstimator` call is the engine's one-link
+    batch, so these pin that a link's answer does not depend on the
+    links stacked with it: 1e-12 s per link and identical extracted
+    path counts over band subsets, NLOS-ish multipath, gated/ungated
+    links, and the degenerate single-path case.
     """
 
     CONFIG = TofEstimatorConfig(
@@ -397,7 +398,6 @@ class TestHybridBatchEquivalence:
     @pytest.mark.parametrize("gated", [False, True])
     def test_gated_and_ungated_links(self, rng, gated):
         """Coarse gates flow through the batched prune/first-path stages."""
-        scalar_est = TofEstimator(self.CONFIG)
         engine = BatchTofEngine(self.CONFIG)
         rows, gates = [], []
         for i in range(3):
@@ -413,7 +413,9 @@ class TestHybridBatchEquivalence:
             gates.append(tau2 - 10e-9 if gated else None)
         H = np.vstack(rows)
         expected = [
-            scalar_est._estimate_group("direct", FREQS_5G, H[i], 2, gates[i]).tof_s
+            engine._estimate_group_stack(
+                "direct", FREQS_5G, H[i : i + 1], 2, [gates[i]], []
+            )[0].tof_s
             for i in range(len(H))
         ]
         got = engine._estimate_group_stack("direct", FREQS_5G, H, 2, gates, [])
@@ -422,9 +424,8 @@ class TestHybridBatchEquivalence:
 
     def test_soft_tier_below_gate_matches_scalar(self, rng):
         """A strong direct path just below the coarse gate is admitted
-        through the soft tier — on both paths, with the same shared
-        constants (drift here would show up as a tens-of-ns split)."""
-        scalar_est = TofEstimator(self.CONFIG)
+        through the soft tier — alone and stacked with an ungated link
+        (drift here would show up as a tens-of-ns split)."""
         engine = BatchTofEngine(self.CONFIG)
         tau2 = 60e-9  # 2τ domain
         h = steering_vector(FREQS_5G, tau2) + 0.45 * steering_vector(
@@ -433,18 +434,22 @@ class TestHybridBatchEquivalence:
         h += 0.01 * (
             rng.normal(size=len(FREQS_5G)) + 1j * rng.normal(size=len(FREQS_5G))
         )
-        H = h[None, :]
+        H = np.vstack([h, random_links(rng, 1)[0]])
         gate = tau2 + 8e-9  # the direct path sits below the gate...
-        want = scalar_est._estimate_group("direct", FREQS_5G, h, 2, gate)
-        got = engine._estimate_group_stack("direct", FREQS_5G, H, 2, [gate], [])[0]
+        want = engine._estimate_group_stack(
+            "direct", FREQS_5G, H[:1], 2, [gate], []
+        )[0]
+        got = engine._estimate_group_stack(
+            "direct", FREQS_5G, H, 2, [gate, None], []
+        )[0]
         assert abs(got.tof_s - want.tof_s) <= 1e-12
         # ...and the soft tier really fired: the sub-gate path won.
         assert got.tof_s == pytest.approx(tau2 / 2, abs=0.5e-9)
 
     def test_mixed_aperture_refit_matches_scalar(self, rng):
         """Quirk-free 2.4+5 GHz plan: the coarse mask is partial, so the
-        batched full-aperture refit (the lockstep bracket machinery)
-        runs on the engine side against the scalar per-link loop."""
+        full-aperture refit (the lockstep bracket machinery) runs, on
+        the stack and on each link alone."""
         freqs = US_BAND_PLAN.center_frequencies_hz
         rows = []
         for _ in range(5):
@@ -460,11 +465,12 @@ class TestHybridBatchEquivalence:
         self.assert_engine_matches_scalar(freqs, np.vstack(rows))
 
     def test_refit_batch_paths_match_scalar_refit(self, rng):
-        """Path-level pin: the batched refit returns the same delays and
-        amplitudes as TofEstimator._full_aperture_refit per link."""
-        from repro.core.deflation import extract_paths
-        from repro.core.deflation_batch import full_aperture_refit_batch
-        from repro.core.ndft import capped_window_s
+        """Path-level pin: the stacked refit returns the same delays and
+        amplitudes as a one-row refit of each link."""
+        from repro.core.deflation_batch import (
+            extract_paths_batch,
+            full_aperture_refit_batch,
+        )
 
         freqs = US_BAND_PLAN.center_frequencies_hz
         estimator = TofEstimator(self.CONFIG)
@@ -472,7 +478,7 @@ class TestHybridBatchEquivalence:
         assert not coarse_mask.all()  # the refit path is actually live
         coarse_freqs = freqs[coarse_mask]
         window = capped_window_s(coarse_freqs, self.CONFIG.max_profile_delay_s)
-        rows, paths_per_link = [], []
+        rows = []
         for k in range(4):
             taus = np.sort(rng.uniform(5e-9, 80e-9, 2 + k % 3))
             h = sum(
@@ -483,17 +489,15 @@ class TestHybridBatchEquivalence:
                 rng.normal(size=len(freqs)) + 1j * rng.normal(size=len(freqs))
             )
             rows.append(h)
-            paths_per_link.append(
-                extract_paths(
-                    h[coarse_mask], coarse_freqs, window, self.CONFIG.deflation
-                )
-            )
         H = np.vstack(rows)
+        paths_per_link = extract_paths_batch(
+            H[:, coarse_mask], coarse_freqs, window, self.CONFIG.deflation
+        )
         alpha = self.CONFIG.deflation.final_alpha_rel
         want = [
-            estimator._full_aperture_refit(
-                paths, freqs, H[i], max_delay_s=window
-            )
+            full_aperture_refit_batch(
+                [paths], freqs, H[i : i + 1], alpha, max_delay_s=window
+            )[0]
             for i, paths in enumerate(paths_per_link)
         ]
         got = full_aperture_refit_batch(

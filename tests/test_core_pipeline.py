@@ -98,15 +98,6 @@ class TestChronosPair:
         fix = pair.localize()
         assert fix.error_m < 0.15
 
-    def test_localize_batched_matches_sequential(self):
-        """Same seed, batched vs per-pair ranging: identical distances."""
-        fixes = []
-        for batched in (True, False):
-            pair = self._make_pair(np.random.default_rng(77))
-            fixes.append(pair.localize(batched=batched))
-        for a, b in zip(fixes[0].distances_m, fixes[1].distances_m):
-            assert abs(a - b) <= 1e-9  # 1e-12 s of ToF, in meters
-
     def test_measure_tof_batch_matches_measure_tof(self):
         pairs = [(0, 0), (0, 1), (0, 2)]
         batch_pair = self._make_pair(np.random.default_rng(31))

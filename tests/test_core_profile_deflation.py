@@ -5,17 +5,16 @@ import pytest
 
 from repro.core.deflation import (
     DeflationConfig,
-    _polish,
-    extract_paths,
     first_path_delay,
     ghost_shifts_s,
     lasso_amplitudes,
     matched_filter_grid,
-    prune_ghost_atoms,
     signal_floor_rel,
 )
 from repro.core.deflation_batch import (
+    _polish_batch,
     extract_paths_batch,
+    full_aperture_refit_batch,
     lasso_amplitudes_batch,
     prune_ghost_atoms_batch,
 )
@@ -36,6 +35,16 @@ FREQS = US_BAND_PLAN.subset_5g().center_frequencies_hz
 def make_profile(delays, amps, grid_step=0.5e-9, window=200e-9):
     grid = tau_grid(window, grid_step)
     return profile_from_paths(grid, delays, amps)
+
+
+def extract_one(h, freqs, max_delay_s, config=None):
+    """One link's paths: the extractor on a one-row stack."""
+    return extract_paths_batch(np.asarray(h)[None, :], freqs, max_delay_s, config)[0]
+
+
+def prune_one(paths, h, freqs, shifts_s, max_delay_s):
+    """One link's ghost pruning: the pruner on a one-row stack."""
+    return prune_ghost_atoms_batch([paths], h[None, :], freqs, shifts_s, max_delay_s)[0]
 
 
 class TestMultipathProfile:
@@ -99,16 +108,18 @@ class TestRefinement:
 
 
 class TestExtractPaths:
+    """The greedy extractor on one link (a one-row stack)."""
+
     def test_single_path(self):
         tau = 47.3e-9
         h = steering_vector(FREQS, tau)
-        paths = extract_paths(h, FREQS, 200e-9)
+        paths = extract_one(h, FREQS, 200e-9)
         assert paths[0].delay_s == pytest.approx(tau, abs=0.02e-9)
 
     def test_multiple_paths_recovered(self):
         true = [(20e-9, 1.0), (35e-9, 0.7), (90e-9, 0.4)]
         h = sum(a * steering_vector(FREQS, t) for t, a in true)
-        paths = extract_paths(h, FREQS, 200e-9)
+        paths = extract_one(h, FREQS, 200e-9)
         for t, a in true:
             nearest = min(paths, key=lambda p: abs(p.delay_s - t))
             assert abs(nearest.delay_s - t) < 0.1e-9
@@ -116,19 +127,19 @@ class TestExtractPaths:
 
     def test_respects_max_paths(self):
         h = steering_vector(FREQS, 20e-9)
-        paths = extract_paths(h, FREQS, 200e-9, DeflationConfig(max_paths=2))
+        paths = extract_one(h, FREQS, 200e-9, DeflationConfig(max_paths=2))
         assert len(paths) <= 2
 
     def test_noise_only_returns_something(self, rng):
         h = (rng.normal(size=len(FREQS)) + 1j * rng.normal(size=len(FREQS))) * 0.01
-        paths = extract_paths(h, FREQS, 200e-9)
+        paths = extract_one(h, FREQS, 200e-9)
         assert len(paths) >= 1
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            extract_paths(np.ones(2), np.array([1e9, 2e9]), 100e-9)
+            extract_one(np.ones(2), np.array([1e9, 2e9]), 100e-9)
         with pytest.raises(ValueError):
-            extract_paths(np.ones(5), FREQS[:5], 0.0)
+            extract_one(np.ones(5), FREQS[:5], 0.0)
 
     def test_path_near_window_edge_stays_inside(self):
         """Regression: extraction never reports a delay past the window.
@@ -141,7 +152,7 @@ class TestExtractPaths:
         h = steering_vector(FREQS, window + 0.02e-9) + 0.3 * steering_vector(
             FREQS, 40e-9
         )
-        paths = extract_paths(h, FREQS, window)
+        paths = extract_one(h, FREQS, window)
         assert all(p.delay_s <= window for p in paths)
         assert any(abs(p.delay_s - 40e-9) < 0.05e-9 for p in paths)
 
@@ -155,28 +166,32 @@ class TestPolishWindowClamp:
         _, grid_step = matched_filter_grid(FREQS, window, DeflationConfig())
         beyond = window + 0.4 * grid_step
         residual = steering_vector(FREQS, beyond)
-        tau0 = window - grid_step / 2.0  # the edge-most grid bin
-        unclamped = _polish(residual, FREQS, tau0, grid_step)
-        assert unclamped > window  # the failure mode being fixed
-        clamped = _polish(residual, FREQS, tau0, grid_step, window)
-        assert clamped <= window
+        tau0 = np.array([window - grid_step / 2.0])  # the edge-most grid bin
+        unclamped = _polish_batch(residual[None, :], FREQS, tau0, grid_step, np.inf)
+        assert unclamped[0] > window  # the failure mode being fixed
+        clamped = _polish_batch(residual[None, :], FREQS, tau0, grid_step, window)
+        assert clamped[0] <= window
 
     def test_full_aperture_refit_clamped(self):
-        from repro.core.profile import RefinedPath as RP
-        from repro.core.tof import TofEstimator, TofEstimatorConfig
-
         window = 200e-9
-        est = TofEstimator(TofEstimatorConfig(quirk_2g4=False))
         products = steering_vector(FREQS, window + 0.05e-9)
-        paths = [RP(window - 0.01e-9, 1.0 + 0j)]
-        refit = est._full_aperture_refit(
-            paths, FREQS, products, max_delay_s=window
-        )
+        paths = [RefinedPath(window - 0.01e-9, 1.0 + 0j)]
+        refit = full_aperture_refit_batch(
+            [paths],
+            FREQS,
+            products[None, :],
+            DeflationConfig().final_alpha_rel,
+            max_delay_s=window,
+        )[0]
         assert all(p.delay_s <= window for p in refit)
 
 
 class TestExtractPathsBatch:
-    """The vectorized extractor against its scalar reference, link by link."""
+    """The extractor on a stack against each row solved alone.
+
+    A row alone is the one-link (scalar) call; the lockstep kernel must
+    not let the rows that share a stack change a link's answer.
+    """
 
     def _stack(self, rng, n_links, n_paths=3, noise=0.02, freqs=FREQS):
         rows = []
@@ -195,9 +210,9 @@ class TestExtractPathsBatch:
     def assert_matches_scalar(self, H, freqs, window=200e-9, config=None):
         batch = extract_paths_batch(H, freqs, window, config)
         for i in range(len(H)):
-            scalar = extract_paths(H[i], freqs, window, config)
-            assert len(batch[i]) == len(scalar), f"link {i} path count"
-            for b, s in zip(batch[i], scalar):
+            alone = extract_one(H[i], freqs, window, config)
+            assert len(batch[i]) == len(alone), f"link {i} path count"
+            for b, s in zip(batch[i], alone):
                 assert abs(b.delay_s - s.delay_s) <= 1e-12
                 assert abs(b.amplitude - s.amplitude) <= 1e-9
 
@@ -289,10 +304,10 @@ class TestSignalFloor:
         )
 
     def atom_counts(self, H):
-        """Per-link atom counts, batch and scalar pinned equal."""
+        """Per-link atom counts, the stack and each row alone pinned equal."""
         batch = [len(p) for p in extract_paths_batch(H, FREQS, 200e-9)]
-        scalar = [len(extract_paths(h, FREQS, 200e-9)) for h in H]
-        assert batch == scalar
+        alone = [len(extract_one(h, FREQS, 200e-9)) for h in H]
+        assert batch == alone
         return batch
 
     def test_fleet_like_link_takes_two_atoms(self, rng):
@@ -325,23 +340,11 @@ class TestBatchedPruneAndLasso:
         paths = extract_paths_batch(H, FREQS, 200e-9)
         batch = prune_ghost_atoms_batch(paths, H, FREQS, shifts, 200e-9)
         for i in range(len(H)):
-            scalar = prune_ghost_atoms(paths[i], H[i], FREQS, shifts, 200e-9)
-            assert len(batch[i]) == len(scalar)
-            for b, s in zip(batch[i], scalar):
+            alone = prune_one(paths[i], H[i], FREQS, shifts, 200e-9)
+            assert len(batch[i]) == len(alone)
+            for b, s in zip(batch[i], alone):
                 assert abs(b.delay_s - s.delay_s) <= 1e-12
                 assert abs(b.amplitude - s.amplitude) <= 1e-9
-
-    def test_prune_batch_relocates_pure_ghost(self):
-        tau = 110e-9
-        h = steering_vector(FREQS, tau)
-        ghost = [
-            RefinedPath(tau - 50e-9, 0.8 + 0j),
-            RefinedPath(tau, 0.4 + 0j),
-        ]
-        pruned = prune_ghost_atoms_batch(
-            [ghost], h[None, :], FREQS, ghost_shifts_s(FREQS, 200e-9), 200e-9
-        )[0]
-        assert all(abs(p.delay_s - tau) < 1e-9 for p in pruned)
 
     def test_lasso_batch_matches_scalar(self, rng):
         delay_sets = [
@@ -385,18 +388,14 @@ class TestGhostLogic:
             RefinedPath(tau - 50e-9, 0.8 + 0j),
             RefinedPath(tau, 0.4 + 0j),
         ]
-        pruned = prune_ghost_atoms(
-            ghost, h, FREQS, ghost_shifts_s(FREQS, 200e-9), 200e-9
-        )
+        pruned = prune_one(ghost, h, FREQS, ghost_shifts_s(FREQS, 200e-9), 200e-9)
         assert all(abs(p.delay_s - tau) < 1e-9 for p in pruned)
 
     def test_prune_keeps_genuine_early_path(self):
         """A real early path survives: no shifted copy explains it."""
         h = 0.5 * steering_vector(FREQS, 40e-9) + steering_vector(FREQS, 110e-9)
         atoms = [RefinedPath(40e-9, 0.5 + 0j), RefinedPath(110e-9, 1.0 + 0j)]
-        pruned = prune_ghost_atoms(
-            atoms, h, FREQS, ghost_shifts_s(FREQS, 200e-9), 200e-9
-        )
+        pruned = prune_one(atoms, h, FREQS, ghost_shifts_s(FREQS, 200e-9), 200e-9)
         assert any(abs(p.delay_s - 40e-9) < 1e-9 for p in pruned)
 
 

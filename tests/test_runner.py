@@ -54,14 +54,6 @@ class TestTofExperiment:
         b = run_tof_experiment(2, seed=9, testbed=testbed)
         assert [x.estimated_tof_s for x in a] == [x.estimated_tof_s for x in b]
 
-    def test_batched_matches_scalar_loop(self, testbed):
-        """The batched engine sees the same CSI and lands on the same ToF."""
-        scalar = run_tof_experiment(2, seed=9, testbed=testbed)
-        batched = run_tof_experiment(2, seed=9, testbed=testbed, batched=True)
-        for a, b in zip(scalar, batched):
-            assert abs(a.estimated_tof_s - b.estimated_tof_s) <= 1e-12
-            assert a.true_tof_s == b.true_tof_s
-
 
 class TestLocalizationExperiment:
     def test_sample_fields(self, testbed):

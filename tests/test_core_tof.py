@@ -73,6 +73,26 @@ class TestFromProducts:
                 FREQS_5G, np.ones((2, len(FREQS_5G)))
             )
 
+    @pytest.mark.parametrize("method", ["hybrid", "ista"])
+    @pytest.mark.parametrize(
+        ("entry", "reason"),
+        [(None, "no signal power"), (np.nan, "non-finite"), (np.inf, "non-finite")],
+        ids=["zero", "nan", "inf"],
+    )
+    def test_unsolvable_row_named(self, method, entry, reason):
+        """An all-zero row, or one with a NaN or Inf product, fails with
+        the row and its reason named, not deep inside a kernel."""
+        if entry is None:
+            row = np.zeros(len(FREQS_5G), dtype=complex)
+        else:
+            row = steering_vector(FREQS_5G, 60e-9)
+            row[3] = entry
+        est = TofEstimator(
+            TofEstimatorConfig(method=method, quirk_2g4=False, compute_profile=False)
+        )
+        with pytest.raises(ValueError, match=f"row 0: {reason}"):
+            est.estimate_from_products(FREQS_5G, row)
+
 
 class TestEndToEnd:
     def test_ideal_free_space_subpicosecond(self, rng):

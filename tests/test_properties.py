@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.batch import BatchTofEngine
 from repro.core.interpolation import zero_subcarrier_csi
 from repro.core.ndft import steering_vector, unambiguous_window_s
 from repro.core.sparse import soft_threshold
+from repro.core.tof import TofEstimator, TofEstimatorConfig
 from repro.rf.channel import channel_at
 from repro.rf.paths import from_delays
 from repro.wifi.bands import Band, US_BAND_PLAN
@@ -22,6 +24,12 @@ from repro.wifi.ofdm import (
 )
 
 FREQS_5G = US_BAND_PLAN.subset_5g().center_frequencies_hz
+# The 24-band plan fits the coarse grid; on the 35-band 2.4 + 5 GHz
+# plan the hybrid method extracts on the 5 GHz bands and refits on all.
+PRODUCT_PLANS = {
+    "24band": FREQS_5G,
+    "35band": US_BAND_PLAN.center_frequencies_hz,
+}
 
 
 @settings(max_examples=40, deadline=None)
@@ -110,3 +118,44 @@ def test_channel_reciprocity_symmetry(d1, d2, a2):
     p_fwd = from_delays([d1 * 1e-9, d1 * 1e-9 + d2 * 1e-9], [1.0, a2])
     p_rev = from_delays([d1 * 1e-9 + d2 * 1e-9, d1 * 1e-9], [a2, 1.0])
     assert np.allclose(channel_at(p_fwd, freqs), channel_at(p_rev, freqs))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    plan=st.sampled_from(sorted(PRODUCT_PLANS)),
+    n_rows=st.integers(min_value=2, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_hybrid_estimate_independent_of_stack(plan, n_rows, seed):
+    """Batch composition and row permutation: a link's hybrid estimate
+    is the same solved alone (the one-link ``TofEstimator`` call) or
+    stacked with others, wherever it sits in the stack."""
+    freqs = PRODUCT_PLANS[plan]
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(n_rows):
+        n_paths = int(rng.integers(1, 5))
+        taus = np.sort(rng.uniform(5e-9, 90e-9, n_paths))
+        amps = rng.uniform(0.2, 1.0, n_paths) * np.exp(
+            1j * rng.uniform(-np.pi, np.pi, n_paths)
+        )
+        h = sum(a * steering_vector(freqs, 2 * t) for a, t in zip(amps, taus))
+        h = h + 0.03 * (rng.normal(size=len(freqs)) + 1j * rng.normal(size=len(freqs)))
+        rows.append(h)
+    H = np.vstack(rows)
+    config = TofEstimatorConfig(quirk_2g4=False, compute_profile=False)
+    engine = BatchTofEngine(config)
+    stacked = engine.estimate_products_batch(freqs, H)
+    order = rng.permutation(n_rows)
+    permuted = engine.estimate_products_batch(freqs, H[order])
+
+    def path_counts(estimate):
+        return [len(g.paths) for g in estimate.groups]
+
+    for i, estimate in enumerate(stacked):
+        alone = TofEstimator(config).estimate_from_products(freqs, H[i])
+        assert abs(estimate.tof_s - alone.tof_s) <= 1e-12
+        assert path_counts(estimate) == path_counts(alone)
+    for estimate, i in zip(permuted, order):
+        assert abs(estimate.tof_s - stacked[i].tof_s) <= 1e-12
+        assert path_counts(estimate) == path_counts(stacked[i])

@@ -1,4 +1,4 @@
-"""Throughput of the batched ranging engine versus scalar loops.
+"""Throughput of the batched ranging engine versus one-link loops.
 
 Measures links/sec at ``N_LINKS = 64`` synthetic multipath links for
 three implementations of the same ``method="ista"`` estimate:
@@ -8,17 +8,18 @@ three implementations of the same ``method="ista"`` estimate:
   Lipschitz SVD on every call, original fancy-indexed thresholding and
   per-iteration norm pair).  This is the N-iteration scalar loop the
   batched engine replaced, frozen here as the regression baseline.
-* ``scalar`` — the current scalar estimator (shares the operator cache
-  and the vectorized kernel with the engine; the ``N = 1`` case).
+* ``scalar`` — the one-link :class:`repro.core.tof.TofEstimator` API in
+  a loop, which solves each link as a batch of one (the engine at
+  ``N = 1``).
 * ``batch`` — :class:`repro.core.batch.BatchTofEngine` in one call.
 
 A second series does the same for ``method="hybrid"`` (the production
-default, at its default settings): ``scalar`` loops the scalar
-deflation estimator per link, ``batch`` runs the vectorized deflation
-kernel (`repro.core.deflation_batch`).  The batched runs must agree
-with their scalar counterparts to 1e-12 s per link, beat the seed
-baseline by ``MIN_SPEEDUP`` (ista) and the scalar loop by
-``MIN_HYBRID_SPEEDUP`` (hybrid).  All numbers land in
+default, at its default settings): ``scalar`` loops the one-link API
+per link, ``batch`` runs the vectorized deflation kernel
+(`repro.core.deflation_batch`) over all links in one call.  The
+batched runs must agree with the one-link answers to 1e-12 s per link,
+beat the seed baseline by ``MIN_SPEEDUP`` (ista) and the one-link loop
+by ``MIN_HYBRID_SPEEDUP`` (hybrid).  All numbers land in
 ``benchmarks/artifacts/batch_throughput.json`` (the CI benchmark job
 uploads it as an artifact) — each series under its own key, merged so
 either test can run alone.
@@ -264,10 +265,11 @@ def test_batch_throughput():
 def test_hybrid_batch_throughput():
     """The production-default hybrid method through the batched kernel.
 
-    ``scalar`` loops the scalar deflation estimator link by link (the
-    engine's pre-vectorization fallback path); ``batch`` runs the
-    vectorized deflation kernel.  Both at the default hybrid settings
-    (diagnostic L1 profile included).
+    ``scalar`` loops the one-link ``TofEstimator`` API, which runs the
+    engine at ``N = 1`` per link; ``batch`` solves all links in one
+    engine call.  Both at the default hybrid settings (diagnostic L1
+    profile included), so the speedup is the per-call overhead that
+    stacking amortizes.
     """
     H = make_links(N_LINKS)
     estimator = TofEstimator(HYBRID_CONFIG)
@@ -323,10 +325,9 @@ def test_hybrid_batch_throughput():
 def test_hybrid_mixed_aperture_throughput():
     """Hybrid over the full 2.4+5 GHz plan (quirk-free, one group).
 
-    This is the configuration where the coarse mask is partial and the
-    per-link full-aperture refit — still a scalar loop — runs on both
-    sides, diluting the batch advantage; the series exists so that cost
-    stays visible instead of hiding behind the refit-free 5 GHz run.
+    This is the configuration where the coarse mask is partial, so the
+    full-aperture refit runs on both sides; the series keeps that cost
+    visible instead of hiding it behind the refit-free 5 GHz run.
     """
     freqs = US_BAND_PLAN.center_frequencies_hz
     rng = np.random.default_rng(42)
@@ -383,8 +384,8 @@ def test_hybrid_mixed_aperture_throughput():
         f"agreement {agreement:.2e} s"
     )
     assert agreement <= 1e-12
-    # Diluted by the scalar refit loop on both sides; a modest floor
-    # guards against regressions without flaking on slow runners.
+    # A modest floor guards against regressions without flaking on
+    # slow runners.
     assert speedup >= 1.5
 
 

@@ -33,8 +33,8 @@ environment enables checking, ``@shaped(...)`` returns the original
 function untouched except for a ``__shape_contract__`` attribute — no
 wrapper frame, no signature binding, nothing on the call path.  The
 test suite enables it process-wide via the root ``conftest.py``
-(``REPRO_CHECK_CONTRACTS=1``); the nightly benchmark lane pins it off
-so throughput numbers stay comparable to ``bench_history.jsonl``.
+(``REPRO_CHECK_CONTRACTS=1``); the repo benchmark (``perfbench/``)
+pins it off, so its timings measure the code production runs.
 
 Spec strings are parsed eagerly, before the enabled gate — a typo in a
 contract fails at import time in every mode, not just under the flag.

@@ -12,7 +12,7 @@ rest of every shard through one
 Requests on the same band plan amortize one cached NDFT operator and
 one batched sparse solve; requests on different plans simply land in
 different shards.  The per-submission :class:`ServiceStats` expose the
-shard layout and throughput, which the CI benchmark records.
+shard layout and throughput.
 """
 
 from __future__ import annotations

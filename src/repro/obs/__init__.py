@@ -20,12 +20,10 @@ On top of that substrate sits the consumption layer:
 * :mod:`repro.obs.server` — the live ``/metrics`` + ``/health`` +
   ``/traces`` HTTP endpoint (:class:`ObsServer`), embeddable via
   ``StreamConfig(serve_port=...)`` / ``LocConfig(serve_port=...)``;
-* :mod:`repro.obs.bench` — benchmark history + the median-of-last-K
-  regression gate;
 * :func:`report` — one aggregate: the health verdict plus each passed
   layer's ``report()``.
 
-``python -m repro.obs summarize|serve|bench-compare`` is the CLI
+``python -m repro.obs summarize|serve`` is the CLI
 (:mod:`repro.obs.cli`).
 """
 

@@ -1,4 +1,4 @@
-"""Observability CLI: trace summarizer, telemetry server, bench gate.
+"""Observability CLI: trace summarizer and telemetry server.
 
 ``python -m repro.obs summarize trace.jsonl`` (or ``-`` for stdin)
 aggregates the spans the tracer wrote (one JSON object per line) into
@@ -17,10 +17,8 @@ holds no valid spans (CI's smoke step fails on that), 2 on usage
 errors.
 
 ``python -m repro.obs serve --port N`` runs the standalone telemetry
-endpoint (``/metrics``, ``/health``, ``/traces``); ``python -m
-repro.obs bench-compare`` runs the benchmark-history regression gate
-(exit 1 on regression).  See :mod:`repro.obs.server` and
-:mod:`repro.obs.bench`.
+endpoint (``/metrics``, ``/health``, ``/traces``); see
+:mod:`repro.obs.server`.
 """
 
 from __future__ import annotations
@@ -229,53 +227,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_compare(args: argparse.Namespace) -> int:
-    from repro.obs import bench
-
-    path = Path(args.history)
-    entries = bench.load_history(path)
-    if not entries:
-        print(f"bench-compare: no history at {path} yet; nothing to gate")
-        return 0
-    comparison = bench.compare(
-        entries,
-        last_k=args.last_k,
-        threshold_rel=args.threshold,
-        min_history=args.min_history,
-    )
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "ok": comparison.ok,
-                    "history_depth": bench.history_depth(entries),
-                    "rows": [
-                        {
-                            "series": row.series,
-                            "status": row.status,
-                            "n_points": row.n_points,
-                            "current": row.current,
-                            "baseline": row.baseline,
-                            "ratio": row.ratio,
-                            "unit": row.unit,
-                        }
-                        for row in comparison.rows
-                    ],
-                },
-                indent=2,
-            )
-        )
-    else:
-        print(comparison.render())
-        depth = bench.history_depth(entries)
-        if depth < args.min_history:
-            print(
-                f"history depth {depth} < {args.min_history}: "
-                "gate is informational until the history fills"
-            )
-    return 0 if comparison.ok else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
@@ -318,44 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
         "0 (default) samples on each /health request instead",
     )
     serve.set_defaults(func=_cmd_serve)
-
-    bench_compare = sub.add_parser(
-        "bench-compare",
-        help="gate benchmark history for regressions "
-        "(median-of-last-K baseline; exit 1 on regression)",
-    )
-    bench_compare.add_argument(
-        "--history",
-        default="benchmarks/artifacts/bench_history.jsonl",
-        help="bench_history.jsonl path "
-        "(default benchmarks/artifacts/bench_history.jsonl)",
-    )
-    bench_compare.add_argument(
-        "--last-k",
-        type=int,
-        default=5,
-        dest="last_k",
-        help="baseline = median of this many points before the newest",
-    )
-    bench_compare.add_argument(
-        "--threshold",
-        type=float,
-        default=0.15,
-        help="relative drop below baseline that counts as a regression",
-    )
-    bench_compare.add_argument(
-        "--min-history",
-        type=int,
-        default=5,
-        dest="min_history",
-        help="series with fewer points than this never fail the gate",
-    )
-    bench_compare.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the comparison as JSON instead of a table",
-    )
-    bench_compare.set_defaults(func=_cmd_bench_compare)
     return parser
 
 

@@ -1,4 +1,4 @@
-"""The telemetry consumption layer: SLOs, /health endpoint, bench gate.
+"""The telemetry consumption layer: SLOs and the /health endpoint.
 
 The contracts under test, by subsystem:
 
@@ -11,9 +11,6 @@ The contracts under test, by subsystem:
   ok/warn → 200 and breach → 503, ``/traces`` serves the ring; a
   saturated real streaming queue flips ``/health`` to 503 end to end
   and draining flips it back (the PR's acceptance criterion).
-* **bench** — history appends round-trip through corrupt lines; the
-  comparator flags a 30% slowdown against a flat baseline and stays
-  green on ±5% noise.
 * **satellites** — engine/service ``report()`` hooks, tracer sink
   rotation, summarize's stdin + partial-line handling.
 """
@@ -39,7 +36,6 @@ from repro.obs import (
     MetricsRegistry,
     ObsServer,
 )
-from repro.obs import bench as obs_bench
 from repro.obs import report as obs_report
 from repro.obs.cli import main as obs_main
 from repro.obs.health import (
@@ -626,123 +622,3 @@ class TestSummarizeCli:
         assert "no valid spans" in err
         assert "3 ill-formed line(s) skipped" in err
         assert "crashed writer" in err
-
-
-# ----------------------------------------------------------------------
-# Bench history + regression gate
-# ----------------------------------------------------------------------
-def write_history(path, values_by_series):
-    for i, values in enumerate(zip(*values_by_series.values())):
-        for series, value in zip(values_by_series.keys(), values):
-            obs_bench.append_history(
-                path,
-                series,
-                value,
-                sha=f"sha{i}",
-                timestamp_s=float(i),
-            )
-
-
-class TestBenchGate:
-    def test_append_and_load_round_trip(self, tmp_path):
-        path = tmp_path / "hist.jsonl"
-        entry = obs_bench.append_history(
-            path,
-            "ista",
-            123.4,
-            sha="abc",
-            timestamp_s=5.0,
-            meta={"kernel_share": 0.8},
-        )
-        assert entry["schema_version"] == obs_bench.HISTORY_SCHEMA_VERSION
-        loaded = obs_bench.load_history(path)
-        assert len(loaded) == 1
-        assert loaded[0]["value"] == 123.4
-        assert loaded[0]["meta"]["kernel_share"] == 0.8
-
-    def test_load_skips_corrupt_and_newer_schema_lines(self, tmp_path):
-        path = tmp_path / "hist.jsonl"
-        obs_bench.append_history(path, "ista", 100.0, sha="a", timestamp_s=1.0)
-        with path.open("a") as sink:
-            sink.write('{"torn...\n')
-            sink.write("[1, 2, 3]\n")
-            sink.write(json.dumps({"series": "x", "value": 1.0}) + "\n")
-            future = {
-                "schema_version": obs_bench.HISTORY_SCHEMA_VERSION + 1,
-                "series": "ista",
-                "value": 9.9,
-                "git_sha": "z",
-            }
-            sink.write(json.dumps(future) + "\n")
-        obs_bench.append_history(path, "ista", 110.0, sha="b", timestamp_s=2.0)
-        loaded = obs_bench.load_history(path)
-        assert [e["value"] for e in loaded] == [100.0, 110.0]
-        assert obs_bench.load_history(tmp_path / "absent.jsonl") == []
-
-    def test_flags_30pct_slowdown_green_on_5pct_noise(self, tmp_path):
-        # ±5% noise around a flat 1000 links/s baseline: green.
-        noisy = tmp_path / "noisy.jsonl"
-        write_history(
-            noisy, {"ista": [1000.0, 1050.0, 950.0, 1020.0, 980.0, 1000.0, 950.0]}
-        )
-        comparison = obs_bench.compare_file(noisy)
-        assert comparison.ok
-        assert comparison.rows[0].status == "ok"
-        # The same baseline with a 30% drop on the newest point: flagged.
-        slow = tmp_path / "slow.jsonl"
-        write_history(
-            slow, {"ista": [1000.0, 1050.0, 950.0, 1020.0, 980.0, 1000.0, 700.0]}
-        )
-        comparison = obs_bench.compare_file(slow)
-        assert not comparison.ok
-        row = comparison.rows[0]
-        assert row.status == "regression"
-        assert row.baseline == pytest.approx(1000.0)
-        assert row.ratio == pytest.approx(0.7)
-        assert "REGRESSION" in comparison.render()
-
-    def test_insufficient_history_never_fails(self, tmp_path):
-        path = tmp_path / "hist.jsonl"
-        write_history(path, {"ista": [1000.0, 400.0]})  # big drop, 2 points
-        comparison = obs_bench.compare_file(path)
-        assert comparison.ok
-        assert comparison.rows[0].status == "insufficient-history"
-
-    def test_per_series_verdicts_are_independent(self, tmp_path):
-        path = tmp_path / "hist.jsonl"
-        write_history(
-            path,
-            {
-                "ista": [1000.0, 990.0, 1010.0, 1000.0, 1005.0, 600.0],
-                "hybrid": [500.0, 505.0, 495.0, 500.0, 502.0, 498.0],
-            },
-        )
-        comparison = obs_bench.compare_file(path)
-        by_series = {row.series: row.status for row in comparison.rows}
-        assert by_series == {"ista": "regression", "hybrid": "ok"}
-        assert obs_bench.history_depth(obs_bench.load_history(path)) == 6
-
-    def test_cli_exit_codes_and_table(self, tmp_path, capsys):
-        path = tmp_path / "hist.jsonl"
-        write_history(
-            path, {"ista": [1000.0, 990.0, 1010.0, 1000.0, 1005.0, 600.0]}
-        )
-        assert obs_main(["bench-compare", "--history", str(path)]) == 1
-        out = capsys.readouterr().out
-        assert "REGRESSION" in out and "ista" in out
-        # JSON mode, healthy history: exit 0.
-        healthy = tmp_path / "ok.jsonl"
-        write_history(
-            healthy, {"ista": [1000.0, 990.0, 1010.0, 1000.0, 1005.0, 1002.0]}
-        )
-        assert (
-            obs_main(["bench-compare", "--history", str(healthy), "--json"])
-            == 0
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["ok"] is True
-        assert payload["rows"][0]["series"] == "ista"
-        # Missing history: informational, exit 0 (CI runs this soft).
-        missing = tmp_path / "none.jsonl"
-        assert obs_main(["bench-compare", "--history", str(missing)]) == 0
-        assert "no history" in capsys.readouterr().out

@@ -77,10 +77,12 @@ def unsolvable_reason(products: ComplexCSI) -> str | None:
       radio's all-zero row, or a row so faint that the squares
       underflow.  The deflation kernel drops links by the same sum.
 
-    The ranging service answers such links before its batched solve and
-    :meth:`BatchTofEngine.estimate_products_batch` rejects them at its
-    boundary, so both apply this one rule.  A row it passes can still
-    fail inside a kernel; the service's link-by-link retry covers those.
+    The ranging service answers such links before its batched solve,
+    :meth:`BatchTofEngine.estimate_products_batch` rejects such rows at
+    its boundary, and :meth:`BatchTofEngine.estimate_sweeps_batch`
+    rejects a link whose band-group products fail it, so all three
+    apply this one rule.  A row it passes can still fail inside a
+    kernel; the service's link-by-link retry covers those.
     """
     if not np.isfinite(products).all():
         return "non-finite products (NaN or Inf)"
@@ -204,6 +206,14 @@ class BatchTofEngine:
 
         Returns:
             One :class:`TofEstimate` per link, in input order.
+
+        Raises:
+            ValueError: When a link has no sweep, when the front end
+                rejects a sweep (non-finite CSI), or before any kernel
+                runs when a link's band-group products fail
+                :func:`unsolvable_reason`, as for a dead radio's
+                all-zero sweep; that message names each such link, its
+                band group and the reason.
         """
         est = self._estimator
         n_links = len(sweeps_per_link)
@@ -230,6 +240,18 @@ class BatchTofEngine:
                 coarse_rt, jobs = est._link_jobs(sweep_list, cals[i])
                 coarse_rts.append(coarse_rt)
                 link_jobs.append(jobs)
+            unsolvable = [
+                f"link {i} ({name} group): {reason}"
+                for i, jobs in enumerate(link_jobs)
+                for name, _, products, _, _ in jobs
+                if (reason := unsolvable_reason(products)) is not None
+            ]
+            if unsolvable:
+                n_rows = sum(len(jobs) for jobs in link_jobs)
+                raise ValueError(
+                    f"{len(unsolvable)} of {n_rows} band-group rows cannot be "
+                    "solved: " + "; ".join(unsolvable)
+                )
 
             # Shard the (link, group) jobs by frequency set so each shard
             # shares one cached operator and one batched inversion.

@@ -20,7 +20,11 @@ from repro.core.ndft import (
 from repro.core.profile import MultipathProfile, refine_first_peak
 from repro.core.sparse import SparseSolverConfig, invert_ndft, invert_ndft_batch
 from repro.core.tof import TofEstimator, TofEstimatorConfig
+from repro.rf.environment import free_space
+from repro.rf.geometry import Point
 from repro.wifi.bands import US_BAND_PLAN
+from repro.wifi.hardware import INTEL_5300
+from repro.wifi.radio import SimulatedLink
 
 FREQS_5G = US_BAND_PLAN.subset_5g().center_frequencies_hz
 
@@ -610,25 +614,32 @@ class TestHybridBatchEquivalence:
             )
 
 
+def intel_link(rng, plan, distance_m=3.0):
+    return SimulatedLink(
+        environment=free_space(),
+        tx_position=Point(0.0, 0.0),
+        rx_position=Point(distance_m, 0.0),
+        tx_state=INTEL_5300.sample_device_state(rng),
+        rx_state=INTEL_5300.sample_device_state(rng),
+        band_plan=plan,
+        rng=rng,
+    )
+
+
+def dead_sweep(rng, plan):
+    """A dead radio's sweep: every CSI value zero."""
+    sweep = intel_link(rng, plan).sweep(2)
+    for m in sweep:
+        m.forward.csi[:] = 0.0
+        m.reverse.csi[:] = 0.0
+    return sweep
+
+
 class TestSweepsBatch:
     def test_matches_estimate_many(self, rng, small_plan, fast_config):
-        from repro.rf.environment import free_space
-        from repro.rf.geometry import Point
-        from repro.wifi.hardware import INTEL_5300
-        from repro.wifi.radio import SimulatedLink
-
-        sweeps_per_link = []
-        for i in range(3):
-            link = SimulatedLink(
-                environment=free_space(),
-                tx_position=Point(0.0, 0.0),
-                rx_position=Point(2.0 + i, 0.0),
-                tx_state=INTEL_5300.sample_device_state(rng),
-                rx_state=INTEL_5300.sample_device_state(rng),
-                band_plan=small_plan,
-                rng=rng,
-            )
-            sweeps_per_link.append([link.sweep(2)])
+        sweeps_per_link = [
+            [intel_link(rng, small_plan, 2.0 + i).sweep(2)] for i in range(3)
+        ]
         cals = [
             LinkCalibration(tof_bias_s=1e-9, coarse_bias_s=350e-9)
             for _ in sweeps_per_link
@@ -651,3 +662,32 @@ class TestSweepsBatch:
         engine = BatchTofEngine(fast_config)
         with pytest.raises(ValueError):
             engine.estimate_sweeps_batch([[]])
+
+    @pytest.mark.parametrize("method", ["ista", "hybrid"])
+    def test_dead_sweep_named_before_any_kernel(
+        self, rng, small_plan, method, monkeypatch
+    ):
+        """An all-zero sweep stacked with a good one fails the call at
+        the engine boundary, naming the link, its band group and the
+        reason, before extraction or FISTA touch the stack."""
+
+        def kernel(*args, **kwargs):
+            raise AssertionError("a kernel ran on an unsolvable stack")
+
+        monkeypatch.setattr(batch_module, "extract_paths_batch", kernel)
+        monkeypatch.setattr(batch_module, "invert_ndft_batch", kernel)
+        engine = BatchTofEngine(
+            TofEstimatorConfig(method=method, compute_profile=False)
+        )
+        good = intel_link(rng, small_plan).sweep(2)
+        with pytest.raises(
+            ValueError,
+            match=r"1 of 2 band-group rows .*link 1 \(5g group\): no signal power",
+        ):
+            engine.estimate_sweeps_batch([[good], [dead_sweep(rng, small_plan)]])
+
+    def test_one_link_api_names_dead_sweep(self, rng, small_plan, fast_config):
+        with pytest.raises(
+            ValueError, match=r"link 0 \(all group\): no signal power"
+        ):
+            TofEstimator(fast_config).estimate_many([dead_sweep(rng, small_plan)])

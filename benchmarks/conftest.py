@@ -19,7 +19,7 @@ def pytest_collection_modifyitems(items):
     """Mark every test under ``benchmarks/`` as ``bench``.
 
     The CI test matrix runs ``-m "not bench and not slow"``; the nightly
-    benchmark job runs ``-m bench`` and uploads the throughput JSON.
+    benchmark job runs ``-m bench``.
     (This hook sees the whole session's items, so filter by location —
     a root-level run must not mark the unit tests.)
     """

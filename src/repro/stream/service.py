@@ -93,7 +93,7 @@ class StreamConfig:
             solves keep their order, and successive flushes of one
             plan never race).  ``1`` restores the single shared worker.
             On a one-core runner the win is overlap/latency, not
-            throughput — gate on parity, not speedup.
+            throughput.
         serve_port: Start an embedded telemetry endpoint
             (:class:`repro.obs.ObsServer`: ``/metrics``, ``/health``,
             ``/traces``) on this localhost port when the service is

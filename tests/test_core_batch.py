@@ -286,10 +286,8 @@ class TestBatchEngineAgreement:
 
 
 # ----------------------------------------------------------------------
-# Seed reference: the pre-batch per-call ista pipeline, written out so
-# the engine's drift from it stays pinned.  It rebuilds the Fourier
-# matrix and its Lipschitz constant on every call and tests convergence
-# on every iteration.
+# Seed reference: the pre-batch per-call ista pipeline, kept so the
+# engine's drift from it stays pinned.
 # ----------------------------------------------------------------------
 def _seed_soft_threshold(p, threshold):
     mags = np.abs(p)
@@ -347,6 +345,17 @@ def with_entry(value):
     return row
 
 
+@pytest.fixture
+def no_kernels(monkeypatch):
+    """Fail the test if an engine call reaches extraction or FISTA."""
+
+    def kernel(*args, **kwargs):
+        raise AssertionError("a kernel ran on an unsolvable stack")
+
+    monkeypatch.setattr(batch_module, "extract_paths_batch", kernel)
+    monkeypatch.setattr(batch_module, "invert_ndft_batch", kernel)
+
+
 class TestUnsolvableRows:
     @pytest.mark.parametrize(
         ("row", "reason"),
@@ -370,15 +379,9 @@ class TestUnsolvableRows:
             assert reason in got
 
     @pytest.mark.parametrize("method", ["ista", "hybrid"])
-    def test_engine_names_rows_before_any_kernel(self, rng, method, monkeypatch):
+    def test_engine_names_rows_before_any_kernel(self, rng, method, no_kernels):
         """Unsolvable rows fail at the engine boundary with their index
         and reason, before extraction or FISTA touch the stack."""
-
-        def kernel(*args, **kwargs):
-            raise AssertionError("a kernel ran on an unsolvable stack")
-
-        monkeypatch.setattr(batch_module, "extract_paths_batch", kernel)
-        monkeypatch.setattr(batch_module, "invert_ndft_batch", kernel)
         engine = BatchTofEngine(
             TofEstimatorConfig(method=method, quirk_2g4=False, compute_profile=False)
         )
@@ -615,6 +618,7 @@ class TestHybridBatchEquivalence:
 
 
 def intel_link(rng, plan, distance_m=3.0):
+    """A free-space link between two Intel 5300-class radios."""
     return SimulatedLink(
         environment=free_space(),
         tx_position=Point(0.0, 0.0),
@@ -665,17 +669,11 @@ class TestSweepsBatch:
 
     @pytest.mark.parametrize("method", ["ista", "hybrid"])
     def test_dead_sweep_named_before_any_kernel(
-        self, rng, small_plan, method, monkeypatch
+        self, rng, small_plan, method, no_kernels
     ):
         """An all-zero sweep stacked with a good one fails the call at
         the engine boundary, naming the link, its band group and the
         reason, before extraction or FISTA touch the stack."""
-
-        def kernel(*args, **kwargs):
-            raise AssertionError("a kernel ran on an unsolvable stack")
-
-        monkeypatch.setattr(batch_module, "extract_paths_batch", kernel)
-        monkeypatch.setattr(batch_module, "invert_ndft_batch", kernel)
         engine = BatchTofEngine(
             TofEstimatorConfig(method=method, compute_profile=False)
         )

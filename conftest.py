@@ -17,7 +17,7 @@ must suspend global capture before writing, or the dump dies with the
 process inside a capture temp file.)
 
 The ceiling is per *test* and deliberately far above anything the
-suite legitimately does (tier-1 ran 782 tests in about 4 min on 2
+suite legitimately does (tier-1 ran 787 tests in about 3.5 min on 2
 vCPUs; the slowest single test, the fig 8c benchmark, about 1 min).  Override with
 ``REPRO_TEST_TIMEOUT_S`` (``0`` disables, e.g. when stepping through
 a test in a debugger).

@@ -171,7 +171,9 @@ def run_localization_experiment(
     laptop, 1.0 m for an access point.
     """
     tb = testbed or office_testbed()
-    cfg = estimator_config or TofEstimatorConfig(compute_profile=False)
+    cfg = estimator_config or TofEstimatorConfig(
+        compute_profile=False, quirk_2g4=profile.phase_quirk_2g4
+    )
     rng = np.random.default_rng(seed)
     pairs = tb.location_pairs(n_pairs, rng, line_of_sight=line_of_sight)
     samples: list[LocalizationSample] = []
@@ -195,7 +197,11 @@ def run_localization_experiment(
             heading_rad=rng.uniform(0, 2 * np.pi),
         )
         pair = ChronosPair(
-            tb.environment, receiver=receiver, transmitter=transmitter, rng=rng
+            tb.environment,
+            receiver=receiver,
+            transmitter=transmitter,
+            rng=rng,
+            estimator_config=cfg,
         )
         pair.calibrate()
         fix = pair.localize(n_sweeps=n_sweeps)

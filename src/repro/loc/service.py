@@ -83,14 +83,6 @@ class LocConfig:
         tolerance_m: Slack for the §12.2 geometry-consistency filter.
         min_ok_anchors: Fewest usable anchor ranges a client may have
             before its fix fails outright (the solver needs 2).
-        offload_solve: Run the batched position solves on a worker
-            thread (``run_in_executor``) instead of inline in the flush
-            callback.  The geometry filter plus least-squares over a
-            large fleet tick is real CPU work; inline it stalls the
-            event loop — and with it the ranging layer's own flush
-            timers — for the duration.  ``False`` restores the inline
-            solve (deterministic single-threaded debugging), matching
-            the streaming layer's ``offload_flush`` switch.
         serve_port: Start an embedded telemetry endpoint
             (:class:`repro.obs.ObsServer`: ``/metrics``, ``/health``,
             ``/traces``) on this localhost port when the service is
@@ -103,7 +95,6 @@ class LocConfig:
     max_solve_clients: int = 1024
     tolerance_m: float = 0.3
     min_ok_anchors: int = 2
-    offload_solve: bool = True
     serve_port: int | None = None
 
     def __post_init__(self) -> None:
@@ -255,10 +246,10 @@ class LocalizationService:
         self._solve_handle: asyncio.TimerHandle | asyncio.Handle | None = None
         self._solve_loop: asyncio.AbstractEventLoop | None = None
         self._stats = LocStats()
-        # Lazily-created size-1 worker the offloaded position solves
-        # run on.  Size 1 on purpose: solves stay ordered (and the
-        # solver layer needs no thread safety of its own), the win is
-        # keeping the loop free, not solver parallelism.
+        # Lazily-created size-1 worker the position solves run on.
+        # Size 1 on purpose: solves stay ordered (and the solver layer
+        # needs no thread safety of its own), the win is keeping the
+        # loop free, not solver parallelism.
         self._solve_executor: ThreadPoolExecutor | None = None
         self._inflight: set[asyncio.Task] = set()
         # Embedded telemetry endpoint, config-gated; stopped by close().
@@ -471,10 +462,8 @@ class LocalizationService:
     async def drain(self) -> None:
         """Flush parked ranging and position solves now.
 
-        With offloaded solves, also awaits every in-flight solve task
-        on this loop, so callers' futures are resolved by the time
-        ``drain`` returns — the same guarantee the inline solve gave
-        for free.
+        Also awaits every in-flight solve task on this loop, so callers'
+        futures are resolved by the time ``drain`` returns.
         """
         await self.ranging.drain()
         if self._pending:
@@ -577,11 +566,10 @@ class LocalizationService:
         ambiguous) — and a degenerate system is retried alone so its
         group survives.
 
-        With ``offload_solve`` (the default) the solver calls run on
-        the solve worker and only their *results* come back to the
-        loop to resolve futures — a fleet-sized least-squares tick no
-        longer freezes the loop (and every ranging timer on it) for
-        its duration.  Without it the solves run inline, as before.
+        The solver calls run on the solve worker and only their
+        *results* come back to the loop to resolve futures, so a
+        fleet-sized least-squares tick does not freeze the loop (and
+        every ranging timer on it) for its duration.
         """
         self._solve_handle = None
         pending = [
@@ -595,36 +583,19 @@ class LocalizationService:
         by_signature: dict[tuple[int, ...], list[_PendingSolve]] = {}
         for p in pending:
             by_signature.setdefault(p.signature, []).append(p)
-        groups = list(by_signature.values())
-        if self.loc_config.offload_solve:
-            task = asyncio.get_running_loop().create_task(
-                self._run_solves(groups)
-            )
-            self._inflight.add(task)
-            task.add_done_callback(self._inflight.discard)
-            return
-        n_solves = 0
-        largest = 0
-        for group in groups:
-            batched = self._resolve_group(group, *self._solve_group_safe(group))
-            # Honest coalescing telemetry: one solve per solver call
-            # actually made — a group that fell back to per-client
-            # retries records them individually, so
-            # ``mean_clients_per_solve`` reflects real batching.
-            n_solves += 1 if batched else len(group)
-            largest = max(largest, len(group) if batched else 1)
-        # Fix/failure accounting happens in ``locate`` (which also sees
-        # rounds that never reach the solver); the flush only records
-        # its own coalescing.
-        self._stats = self._bump(n_solves=n_solves, largest_solve=largest)
+        task = asyncio.get_running_loop().create_task(
+            self._run_solves(list(by_signature.values()))
+        )
+        self._inflight.add(task)
+        task.add_done_callback(self._inflight.discard)
 
     async def _run_solves(self, groups: list[list[_PendingSolve]]) -> None:
-        """Offloaded flush body: solve on the worker, resolve on the loop.
+        """Flush body: solve on the worker, resolve on the loop.
 
         Futures are resolved only after the ``await`` (on the loop —
         ``Future.set_result`` is not thread-safe), and the stats update
         runs loop-serialized after the last group lands, the same
-        ordering discipline as the streaming layer's offloaded flush.
+        ordering discipline as the streaming layer's flush.
         """
         loop = asyncio.get_running_loop()
         if self._solve_executor is None:
@@ -637,7 +608,10 @@ class LocalizationService:
             outcomes, error, batched = await loop.run_in_executor(
                 self._solve_executor, self._solve_group_safe, group
             )
-            self._resolve_group(group, outcomes, error, batched)
+            self._resolve_group(group, outcomes, error)
+            # One solve per solver call actually made: a group that fell
+            # back to per-client retries counts each retry.  Fixes and
+            # failures are counted in ``locate``.
             n_solves += 1 if batched else len(group)
             largest = max(largest, len(group) if batched else 1)
         self._stats = self._bump(n_solves=n_solves, largest_solve=largest)
@@ -651,16 +625,15 @@ class LocalizationService:
     ]:
         """Solve one shared-signature group; pure compute, no futures.
 
-        Returns ``(outcomes, fatal_error, batched)``.  Safe to run on
-        the solve worker: it touches no loop or service state, so the
-        caller resolves futures (and bumps stats) on the loop.  All
+        Returns ``(outcomes, fatal_error, batched)``.  Runs on the solve
+        worker: it touches no loop or service state, so the caller
+        resolves futures (and bumps stats) on the loop.  All
         members share one anchor geometry (that is what the signature
         means), so the anchors pass to the batched solver once, as a
         shared array.
 
         The solve span parents under the group's first client's locate
-        span explicitly: this method may run on the solve worker, and
-        contextvars do not cross ``run_in_executor``.
+        span explicitly: contextvars do not cross ``run_in_executor``.
         """
         batched = True
         with timed_span(
@@ -692,8 +665,7 @@ class LocalizationService:
         group: list[_PendingSolve],
         outcomes: list[tuple[LocalizationResult | None, str | None]] | None,
         error: Exception | None,
-        batched: bool,
-    ) -> bool:
+    ) -> None:
         """Deliver one group's solve results to its callers (loop only)."""
         if outcomes is None:
             for p in group:
@@ -701,11 +673,10 @@ class LocalizationService:
                     p.future.set_exception(
                         error if error is not None else RuntimeError("solve failed")
                     )
-            return batched
+            return
         for p, outcome in zip(group, outcomes, strict=True):
             if not p.future.done() and not p.future.get_loop().is_closed():
                 p.future.set_result(outcome)
-        return batched
 
     def _solve_alone(
         self, p: _PendingSolve

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 import numpy as np
@@ -82,6 +82,15 @@ class LinkRequest:
                 f"link_id must be a non-empty string, got {self.link_id!r}"
             )
 
+    def _check_calibration(self, calibration: object) -> None:
+        """Reject, at construction, a calibration the engine cannot apply
+        (in a batched solve it would fail every flush-mate)."""
+        if calibration is not None and not isinstance(calibration, LinkCalibration):
+            raise TypeError(
+                f"request {self.link_id!r}: calibration must be a "
+                f"LinkCalibration or None, got {type(calibration).__name__}"
+            )
+
     def plan_signature(self) -> object:
         """A hashable key of the request's solve-grouping identity.
 
@@ -112,6 +121,7 @@ class RangingRequest(LinkRequest):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        self._check_calibration(self.calibration)
         if self.frequencies_hz is None or self.products is None:
             raise ValueError(
                 f"request {self.link_id!r}: frequencies and products "
@@ -166,8 +176,8 @@ class ServiceStats:
     """Telemetry for one ``submit``/``submit_grouped`` call.
 
     Delivered per call via the ``stats_out`` argument (race-free under
-    concurrent callers); ``RangingService.last_stats`` remains as a
-    deprecated best-effort mirror of the most recent ``submit``.
+    concurrent callers); the cumulative ``service.*`` registry series
+    fold every call in.
     """
 
     n_requests: int
@@ -204,11 +214,6 @@ class RangingService:
             raise ValueError(f"shards need at least one link, got {max_shard_links}")
         self.engine = engine or BatchTofEngine(config)
         self.max_shard_links = max_shard_links
-        # Deprecated best-effort mirror of the latest submit()'s stats;
-        # racy by construction under concurrent callers.  Use the
-        # stats_out argument (per-call) or the service.* registry
-        # series instead.
-        self.last_stats: ServiceStats | None = None
 
     @staticmethod
     def plan_key(request: RangingRequest) -> object:
@@ -248,8 +253,7 @@ class RangingService:
         same batched solves; sharding splits oversized stacks.
 
         ``stats_out`` receives this call's own :class:`ServiceStats`
-        (appended) — the race-free channel; ``last_stats`` is only a
-        deprecated best-effort mirror under concurrent callers.
+        (appended).
 
         Degenerate submissions are first-class, not incidental: an
         empty batch returns ``[]`` with a well-formed zero-shard
@@ -287,7 +291,6 @@ class RangingService:
         if stats_out is not None:
             stats_out.append(stats)
         self._publish_stats(stats)
-        self.last_stats = stats
         return responses
 
     def submit_grouped(
@@ -299,11 +302,10 @@ class RangingService:
 
         The flush pool's entry point: every request must share one
         :meth:`plan_key` (mixed plans raise ``ValueError`` — callers
-        partition with :meth:`plan_groups` first).  Unlike
-        :meth:`submit`, this method touches no shared service state
-        (``last_stats`` stays untouched), so concurrent per-plan
-        workers may call it on the same service without a lock; the
-        engine underneath is thread-safe.  ``stats_out`` receives this
+        partition with :meth:`plan_groups` first).  It touches no
+        shared service state, so concurrent per-plan workers may call
+        it on the same service without a lock; the engine underneath
+        is thread-safe.  ``stats_out`` receives this
         call's own single-plan :class:`ServiceStats` (appended).
         """
         requests = list(requests)
@@ -396,22 +398,18 @@ class RangingService:
         return [by_index[i] for i in shard]
 
     def report(self) -> dict:
-        """Observability snapshot: service config, stats + series.
+        """Observability snapshot: service config + series.
 
-        Matches the shape of the stream/loc layers' ``report()`` hooks
-        (``layer`` + ``stats`` + ``metrics``), so aggregators — the
-        ``/health`` endpoint's :func:`repro.obs.report` — can walk all
-        four layers uniformly.  Nests the engine's own report.
-        ``stats`` is the deprecated best-effort mirror of the latest
-        ``submit`` (None before the first); the registry series are the
-        authoritative cumulative view.
+        Matches the shape of the other layers' ``report()`` hooks
+        (``layer`` + ``metrics``), so aggregators — the ``/health``
+        endpoint's :func:`repro.obs.report` — can walk all four layers
+        uniformly.  Nests the engine's own report.  Per-call stats go
+        to ``submit``'s ``stats_out``; the cumulative ``service.*``
+        series are under ``metrics``.
         """
         return {
             "layer": "service",
             "max_shard_links": self.max_shard_links,
-            "stats": (
-                asdict(self.last_stats) if self.last_stats is not None else None
-            ),
             "metrics": REGISTRY.snapshot(prefix="service."),
             "engine": self.engine.report(),
         }

@@ -26,13 +26,15 @@ flush through :meth:`BatchTofEngine.estimate_sweeps_batch`, which
 shards the per-link band groups by frequency set — so even streams on
 heterogeneous band plans coalesce whatever they share.
 
-Flushes solve on a **band-plan-keyed worker pool** (see
-:attr:`StreamConfig.flush_workers`): each flush partitions into its
-plan groups and every group dispatches to the size-1 worker its plan
-hashes to.  Heterogeneous-plan flushes therefore overlap their solves
+Flushes solve on a **band-plan-keyed worker pool** of
+:data:`FLUSH_WORKERS` size-1 workers: each flush partitions into its
+plan groups and every group dispatches to the worker its plan is
+pinned to.  Heterogeneous-plan flushes therefore overlap their solves
 while any single plan keeps strict solve order on one thread; stats
 updates stay loop-serialized, and a group's callers resolve as soon as
-their group returns.
+their group returns.  A request's queue wait runs from its enqueue to
+the start of its group's solve on the worker, so a same-plan backlog
+on the worker counts as queue wait.
 """
 
 from __future__ import annotations
@@ -64,6 +66,10 @@ from repro.obs import (
 )
 from repro.wifi.csi import CsiSweep
 
+# Width of the band-plan-keyed flush pool.  On a one-core runner the
+# win is overlap and latency, not throughput.
+FLUSH_WORKERS = 4
+
 
 @dataclass(frozen=True)
 class StreamConfig:
@@ -76,24 +82,6 @@ class StreamConfig:
             in the same scheduling round (e.g. one ``asyncio.gather``).
         max_batch_links: Flush immediately once this many requests are
             pending — bounds per-flush latency and memory under load.
-        offload_flush: Run the engine solves of each flush on worker
-            threads (``run_in_executor``) instead of inline on the
-            event loop.  A long solve then no longer blocks the loop:
-            requests arriving mid-flush keep parking and coalesce into
-            the *next* batch, timers keep firing, and other protocol
-            work proceeds.  ``False`` restores the inline solve
-            (useful for deterministic single-threaded debugging).
-        flush_workers: Width of the band-plan-keyed flush pool.  Each
-            flush is partitioned into its plan groups (one per product
-            band plan, one per sweep-structure signature) and every
-            group is dispatched to the worker its plan hashes to — so
-            a heterogeneous-plan flush solves its groups concurrently
-            instead of serializing them behind one thread, while any
-            one plan still runs on exactly one size-1 worker (same-plan
-            solves keep their order, and successive flushes of one
-            plan never race).  ``1`` restores the single shared worker.
-            On a one-core runner the win is overlap/latency, not
-            throughput.
         serve_port: Start an embedded telemetry endpoint
             (:class:`repro.obs.ObsServer`: ``/metrics``, ``/health``,
             ``/traces``) on this localhost port when the service is
@@ -104,8 +92,6 @@ class StreamConfig:
 
     max_wait_s: float = 2e-3
     max_batch_links: int = 256
-    offload_flush: bool = True
-    flush_workers: int = 4
     serve_port: int | None = None
 
     def __post_init__(self) -> None:
@@ -114,10 +100,6 @@ class StreamConfig:
         if self.max_batch_links < 1:
             raise ValueError(
                 f"max_batch_links must be >= 1, got {self.max_batch_links}"
-            )
-        if self.flush_workers < 1:
-            raise ValueError(
-                f"flush_workers must be >= 1, got {self.flush_workers}"
             )
         if self.serve_port is not None and not 0 <= self.serve_port <= 65535:
             raise ValueError(
@@ -142,9 +124,16 @@ class SweepRequest(LinkRequest):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        self._check_calibration(self.calibration)
         object.__setattr__(self, "sweeps", tuple(self.sweeps))
         if not self.sweeps:
             raise ValueError(f"request {self.link_id!r}: need at least one sweep")
+        for sweep in self.sweeps:
+            if not isinstance(sweep, CsiSweep):
+                raise TypeError(
+                    f"request {self.link_id!r}: sweeps must be CsiSweep, "
+                    f"got {type(sweep).__name__}"
+                )
 
     def plan_signature(self) -> tuple[str, tuple[float, ...]]:
         """Frequency-set identity: the band centers across the sweeps.
@@ -198,7 +187,7 @@ class _Pending:
     """One parked request and the future its caller awaits.
 
     ``enqueued_perf_s`` and ``ctx`` carry the request's queue-entry
-    timestamp and its submit span's context through the flush, so the
+    timestamp and its submit span's context to the pool worker, so the
     queue wait becomes both a ``stream.queue_wait_s`` observation and a
     retroactive trace span parented under the caller's submit.
     """
@@ -310,9 +299,8 @@ class StreamingRangingService:
     async def drain(self) -> None:
         """Flush anything pending now instead of waiting out the window.
 
-        When flushes are offloaded, also awaits every in-flight solve on
-        this loop, so callers' futures are resolved by the time ``drain``
-        returns — the same guarantee the inline flush gave for free.
+        Also awaits every in-flight solve on this loop, so callers'
+        futures are resolved by the time ``drain`` returns.
         """
         if self._pending:
             self._cancel_scheduled_flush()
@@ -395,12 +383,10 @@ class StreamingRangingService:
 
         Runs as a loop callback: by the time it fires, every submission
         from the current scheduling round has been parked, so one flush
-        serves them all.  With ``offload_flush`` (the default) each of
-        the flush's plan groups solves on the band-plan pool and only
-        the solves' *results* come back to the loop to resolve futures —
-        submissions arriving while a solve is in flight park as usual
-        and coalesce into the next batch.  Without it the solves run
-        inline, blocking the loop for their duration.
+        serves them all.  Each of the flush's plan groups solves on the
+        band-plan pool and only the solves' *results* come back to the
+        loop to resolve futures — submissions arriving while a solve is
+        in flight park as usual and coalesce into the next batch.
         """
         self._flush_handle = None
         # Requests whose callers are gone (cancelled futures, or futures
@@ -421,28 +407,12 @@ class StreamingRangingService:
         batch, self._pending = self._pending[:cap], self._pending[cap:]
         if self._pending:
             self._flush_handle = asyncio.get_running_loop().call_soon(self._flush)
-        now_perf_s = time.perf_counter()
-        for p in batch:
-            # The sharding/overload ROADMAP items gate on this series:
-            # queue wait is the half of end-to-end latency that more
-            # workers (or shedding) can actually remove.
-            REGISTRY.observe("stream.queue_wait_s", now_perf_s - p.enqueued_perf_s)
-            trace.record_span(
-                "stream.queue_wait",
-                start_perf_s=p.enqueued_perf_s,
-                end_perf_s=now_perf_s,
-                parent=p.ctx,
-                link=p.request.link_id,
-            )
         REGISTRY.set_gauge("stream.queue_depth", len(self._pending))
-        if self.stream_config.offload_flush:
-            task = asyncio.get_running_loop().create_task(
-                self._flush_offloaded(batch)
-            )
-            self._inflight.add(task)
-            task.add_done_callback(self._inflight.discard)
-        else:
-            self._run_flush_inline(batch)
+        task = asyncio.get_running_loop().create_task(
+            self._flush_offloaded(batch)
+        )
+        self._inflight.add(task)
+        task.add_done_callback(self._inflight.discard)
 
     def _plan_groups(
         self, batch: list[_Pending]
@@ -482,38 +452,11 @@ class StreamingRangingService:
             entry[1].append(p)
         return list(groups.values())
 
-    def _run_flush_inline(self, batch: list[_Pending]) -> None:
-        """The pre-offload behavior: solve and resolve on the loop thread.
-
-        Groups solve sequentially here (there is only the one thread),
-        but through the same per-group partition as the pool, so the
-        estimates and stats are identical to the pooled path.
-        """
-        groups = self._plan_groups(batch)
-        n_failed_products = 0
-        n_failed_sweeps = 0
-        # Parenting under the first request's submit span keeps one
-        # request's whole chain a single trace tree; batch-mates link
-        # in through their own queue_wait spans.
-        with trace.span(
-            "stream.flush",
-            parent=batch[0].ctx,
-            n_links=len(batch),
-            n_groups=len(groups),
-        ):
-            for key, pending, solver, is_sweep in groups:
-                failed = self._solve_then_resolve(pending, solver, key)
-                if is_sweep:
-                    n_failed_sweeps += failed
-                else:
-                    n_failed_products += failed
-        self._record_flush(batch, len(groups), n_failed_products, n_failed_sweeps)
-
     async def _flush_offloaded(self, batch: list[_Pending]) -> None:
         """One flush with its engine solves on the band-plan pool.
 
         Every plan group of the flush dispatches to the worker its
-        plan hashes to and the solves run concurrently; each group's
+        plan is pinned to and the solves run concurrently; each group's
         callers resolve as soon as *their* group returns (a fast plan
         never waits behind a slow one).  Futures are resolved on the
         loop (after the ``await``), never from a worker —
@@ -535,7 +478,7 @@ class StreamingRangingService:
         ) as flush_span:
             failures = await asyncio.gather(
                 *(
-                    self._offload_solve(
+                    self._solve_group(
                         loop,
                         self._group_executor(key),
                         pending,
@@ -557,24 +500,29 @@ class StreamingRangingService:
                 n_failed_products += failed
         self._record_flush(batch, len(groups), n_failed_products, n_failed_sweeps)
 
-    async def _offload_solve(
+    async def _solve_group(
         self, loop, executor, pending, solver, key, flush_ctx
     ) -> int:
         requests = [p.request for p in pending]
         label = plan_label(key)
-        dispatch_perf_s = time.perf_counter()
 
         def solve_on_worker():
             # Runs on the plan's pool worker.  Contextvars do not cross
             # run_in_executor, so the flush span parents explicitly —
             # this is the thread hop that keeps one request's trace a
-            # single tree.  The dispatch→start gap is the worker-queue
-            # backlog (same-plan solves serialize on one worker).
-            REGISTRY.observe(
-                "stream.worker_wait_s",
-                time.perf_counter() - dispatch_perf_s,
-                plan=label,
-            )
+            # single tree.  Queue wait ends here, when the solve
+            # starts, so a same-plan backlog on the worker counts in
+            # it; the overload SLO reads this series.
+            start = time.perf_counter()
+            for p in pending:
+                REGISTRY.observe("stream.queue_wait_s", start - p.enqueued_perf_s)
+                trace.record_span(
+                    "stream.queue_wait",
+                    start_perf_s=p.enqueued_perf_s,
+                    end_perf_s=start,
+                    parent=p.ctx,
+                    link=p.request.link_id,
+                )
             with timed_span(
                 "stream.plan_solve",
                 "stream.solve_s",
@@ -593,25 +541,6 @@ class StreamingRangingService:
         with trace.span(
             "stream.resolve", parent=flush_ctx, n_links=len(pending)
         ):
-            return self._resolve(pending, responses)
-
-    def _solve_then_resolve(
-        self, pending: list[_Pending], solver, key: object = None
-    ) -> int:
-        label = plan_label(key) if key is not None else "inline"
-        try:
-            with timed_span(
-                "stream.plan_solve",
-                "stream.solve_s",
-                {"plan": label},
-                plan=label,
-                n_links=len(pending),
-            ):
-                responses = solver([p.request for p in pending])
-        except Exception as exc:  # noqa: BLE001 — a dying flush must not hang callers
-            self._reject_all(pending, exc)
-            return len(pending)
-        with trace.span("stream.resolve", n_links=len(pending)):
             return self._resolve(pending, responses)
 
     def _record_flush(
@@ -664,7 +593,7 @@ class StreamingRangingService:
     def _pool_slot(self, key: object) -> int:
         """The pool slot a plan is pinned to (first-seen round-robin).
 
-        Deterministic on purpose: the first ``flush_workers`` distinct
+        Deterministic on purpose: the first :data:`FLUSH_WORKERS` distinct
         plans a service sees land on distinct workers (hashing would
         collide them at random), and a plan keeps its slot for the
         service's life, so its groups — across successive flushes and
@@ -685,7 +614,7 @@ class StreamingRangingService:
         with self._pool_lock:
             slot = self._slot_by_key.pop(key, None)
             if slot is None:
-                slot = self._plans_pinned % self.stream_config.flush_workers
+                slot = self._plans_pinned % FLUSH_WORKERS
                 self._plans_pinned += 1
             self._slot_by_key[key] = slot  # (re)insert at LRU back
             while len(self._slot_by_key) > self._MAX_PINNED_PLANS:
@@ -698,7 +627,7 @@ class StreamingRangingService:
     def _group_executor(self, key: object) -> ThreadPoolExecutor:
         """The lazily-created size-1 worker a plan group solves on.
 
-        Distinct plans spread across up to ``flush_workers`` threads
+        Distinct plans spread across up to :data:`FLUSH_WORKERS` threads
         and overlap; the engine's operator cache is thread-safe, so
         the workers may run next to direct ``RangingService`` callers
         and each other.

@@ -182,10 +182,10 @@ class TestOperatorLazyMemoization:
 class TestFlushPoolThreadSafety:
     """The RLock guarding the streaming layer's band-plan flush pool."""
 
-    def _service(self, workers=2):
-        from repro.stream.service import StreamConfig, StreamingRangingService
+    def _service(self):
+        from repro.stream.service import StreamingRangingService
 
-        return StreamingRangingService(stream=StreamConfig(flush_workers=workers))
+        return StreamingRangingService()
 
     def test_concurrent_pinning_yields_one_executor_per_plan(self):
         """8 threads racing to pin one brand-new plan must agree on a

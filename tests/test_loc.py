@@ -817,7 +817,7 @@ class TestFleetExperiment:
 
 
 class TestSolveOffload:
-    """LocConfig.offload_solve: position solves leave the event loop."""
+    """Position solves run on the solve worker, off the event loop."""
 
     def test_position_solve_runs_off_the_event_loop(
         self, rng, monkeypatch, make_loc_service
@@ -861,28 +861,6 @@ class TestSolveOffload:
         fix = asyncio.run(run())
         assert fix.ok
         assert fix.position.distance_to(truth) < 0.3
-
-    def test_inline_mode_still_solves(self, rng, make_loc_service):
-        """offload_solve=False keeps the pre-offload inline path alive
-        (deterministic debugging) and agrees with the offloaded fix."""
-        inline = make_loc_service(
-            ANCHORS, config=FAST_CONFIG, loc=LocConfig(offload_solve=False)
-        )
-        offloaded = make_loc_service(ANCHORS, config=FAST_CONFIG)
-        truth = Point(6.0, 2.5)
-        rows = anchor_products(truth, ANCHORS, rng)
-
-        async def run(service):
-            return await service.locate(
-                "c",
-                [RangingRequest(f"c:{k}", FREQS, h) for k, h in enumerate(rows)],
-            )
-
-        a = asyncio.run(run(inline))
-        b = asyncio.run(run(offloaded))
-        assert a.ok and b.ok
-        assert a.position.distance_to(b.position) < 1e-9
-        assert inline.stats.n_solves == offloaded.stats.n_solves == 1
 
     def test_drain_awaits_inflight_solves(self, rng, make_loc_service):
         """drain() returns only after in-flight offloaded solve tasks

@@ -50,6 +50,11 @@ class TestRangingRequest:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             RangingRequest("bad", FREQS_5G, np.ones(3))
+        # The engine would raise on it mid-solve, failing its flush-mates.
+        with pytest.raises(TypeError, match="'bad'.*float"):
+            RangingRequest(
+                "bad", FREQS_5G, np.ones(len(FREQS_5G)), calibration=1.0
+            )
 
     def test_shared_base_validates_link_id(self):
         with pytest.raises(ValueError):
@@ -97,18 +102,21 @@ class TestRangingService:
             RangingRequest("b", FREQS_SMALL, one_link(rng, FREQS_SMALL)),
             RangingRequest("c", FREQS_5G, one_link(rng, FREQS_5G, 40e-9)),
         ]
-        responses = service.submit(requests)
+        out = []
+        responses = service.submit(requests, stats_out=out)
         assert [r.link_id for r in responses] == ["a", "b", "c"]
-        assert service.last_stats.n_plans == 2
+        assert out[0].n_plans == 2
 
     def test_sharding_bounds_batch_size(self, rng):
         service = RangingService(FAST_CONFIG, max_shard_links=2)
         requests = [
             RangingRequest(str(i), FREQS_5G, one_link(rng, FREQS_5G)) for i in range(5)
         ]
-        service.submit(requests)
-        assert service.last_stats.n_shards == 3  # 2 + 2 + 1
-        assert service.last_stats.n_requests == 5
+        out = []
+        service.submit(requests, stats_out=out)
+        (stats,) = out
+        assert stats.n_shards == 3  # 2 + 2 + 1
+        assert stats.n_requests == 5
 
     def test_per_request_calibration(self, rng):
         service = RangingService(FAST_CONFIG)
@@ -130,8 +138,11 @@ class TestRangingService:
 
     def test_stats_throughput(self, rng):
         service = RangingService(FAST_CONFIG)
-        service.submit([RangingRequest("x", FREQS_5G, one_link(rng, FREQS_5G))])
-        stats = service.last_stats
+        out = []
+        service.submit(
+            [RangingRequest("x", FREQS_5G, one_link(rng, FREQS_5G))], stats_out=out
+        )
+        (stats,) = out
         assert stats.elapsed_s > 0
         assert stats.links_per_s > 0
 
@@ -140,8 +151,9 @@ class TestRangingService:
         zero-shard ServiceStats, and a defined throughput of zero (the
         streaming front end can flush an empty window)."""
         service = RangingService(FAST_CONFIG)
-        assert service.submit([]) == []
-        stats = service.last_stats
+        out = []
+        assert service.submit([], stats_out=out) == []
+        (stats,) = out
         assert stats.n_requests == 0
         assert stats.n_plans == 0
         assert stats.n_shards == 0
@@ -153,11 +165,13 @@ class TestRangingService:
         """A 1-link submission is one plan, one shard — and its stats
         say so explicitly rather than by luck of the sharding loop."""
         service = RangingService(FAST_CONFIG)
+        out = []
         responses = service.submit(
-            [RangingRequest("only", FREQS_5G, one_link(rng, FREQS_5G))]
+            [RangingRequest("only", FREQS_5G, one_link(rng, FREQS_5G))],
+            stats_out=out,
         )
         assert len(responses) == 1 and responses[0].ok
-        stats = service.last_stats
+        (stats,) = out
         assert stats.n_requests == 1
         assert stats.n_plans == 1
         assert stats.n_shards == 1
@@ -167,13 +181,16 @@ class TestRangingService:
     def test_single_failed_request_still_counts_in_stats(self):
         """The one-shard degenerate case keeps its failure accounting."""
         service = RangingService(FAST_CONFIG)
+        out = []
         responses = service.submit(
-            [RangingRequest("dead", FREQS_5G, np.zeros(len(FREQS_5G)))]
+            [RangingRequest("dead", FREQS_5G, np.zeros(len(FREQS_5G)))],
+            stats_out=out,
         )
         assert len(responses) == 1 and not responses[0].ok
-        assert service.last_stats.n_requests == 1
-        assert service.last_stats.n_shards == 1
-        assert service.last_stats.n_failed == 1
+        (stats,) = out
+        assert stats.n_requests == 1
+        assert stats.n_shards == 1
+        assert stats.n_failed == 1
 
     def test_invalid_shard_size_rejected(self):
         with pytest.raises(ValueError):
@@ -186,30 +203,34 @@ class TestRangingService:
         crashing the whole submit."""
         service = RangingService(FAST_CONFIG)
         poisoned = np.full(len(FREQS_5G), np.nan + 1j * np.nan)
+        out = []
         responses = service.submit(
             [
                 RangingRequest("alive-1", FREQS_5G, one_link(rng, FREQS_5G)),
                 RangingRequest("poisoned", FREQS_5G, poisoned),
                 RangingRequest("alive-2", FREQS_5G, one_link(rng, FREQS_5G, 45e-9)),
-            ]
+            ],
+            stats_out=out,
         )
         assert [r.link_id for r in responses] == ["alive-1", "poisoned", "alive-2"]
         assert responses[0].ok and responses[2].ok
         assert not responses[1].ok
         assert responses[1].error
-        assert service.last_stats.n_failed == 1
+        assert out[0].n_failed == 1
         # The healthy links got real estimates despite the bad neighbour.
         assert 0.0 < responses[0].estimate.tof_s < responses[2].estimate.tof_s
 
     def test_dead_link_does_not_poison_its_shard(self, rng):
         """All-zero products (dead radio) fail alone; neighbours survive."""
         service = RangingService(FAST_CONFIG)
+        out = []
         responses = service.submit(
             [
                 RangingRequest("alive-1", FREQS_5G, one_link(rng, FREQS_5G)),
                 RangingRequest("dead", FREQS_5G, np.zeros(len(FREQS_5G))),
                 RangingRequest("alive-2", FREQS_5G, one_link(rng, FREQS_5G, 50e-9)),
-            ]
+            ],
+            stats_out=out,
         )
         assert [r.link_id for r in responses] == ["alive-1", "dead", "alive-2"]
         assert responses[0].ok and responses[2].ok
@@ -217,7 +238,7 @@ class TestRangingService:
         assert responses[1].error  # carries the estimator's reason
         with pytest.raises(ValueError):
             responses[1].distance_m
-        assert service.last_stats.n_failed == 1
+        assert out[0].n_failed == 1
 
 
 class TestUnsolvableScreen:
@@ -241,8 +262,9 @@ class TestUnsolvableScreen:
         ]
         alive = [requests[i] for i in (0, 2, 4)]
         retries_before = isolated_retries(requests[0])
+        out = []
 
-        responses = service.submit(requests)
+        responses = service.submit(requests, stats_out=out)
 
         assert len(engine.calls) == 1
         np.testing.assert_array_equal(
@@ -253,8 +275,8 @@ class TestUnsolvableScreen:
         assert "no signal power" in responses[1].error
         assert "non-finite" in responses[3].error
         assert not responses[1].ok and not responses[3].ok
-        assert service.last_stats.n_shards == 1
-        assert service.last_stats.n_failed == 2
+        assert out[0].n_shards == 1
+        assert out[0].n_failed == 2
         alone = RangingService(FAST_CONFIG).submit(alive)
         for got, want in zip([responses[i] for i in (0, 2, 4)], alone, strict=True):
             assert got.ok
@@ -265,17 +287,19 @@ class TestUnsolvableScreen:
         but still counts as a shard, and its failures count too."""
         engine = RecordingEngine(FAST_CONFIG)
         service = RangingService(engine=engine, max_shard_links=2)
+        out = []
         responses = service.submit(
             [
                 RangingRequest("dead-1", FREQS_5G, np.zeros(len(FREQS_5G))),
                 RangingRequest("dead-2", FREQS_5G, np.full(len(FREQS_5G), np.inf)),
                 RangingRequest("alive", FREQS_5G, one_link(rng, FREQS_5G)),
-            ]
+            ],
+            stats_out=out,
         )
         assert [r.ok for r in responses] == [False, False, True]
         assert [len(stack) for stack in engine.calls] == [1]
-        assert service.last_stats.n_shards == 2
-        assert service.last_stats.n_failed == 2
+        assert out[0].n_shards == 2
+        assert out[0].n_failed == 2
 
     def test_unforeseen_failure_retries_link_by_link(self, rng):
         """The backstop: an engine that raises on a finite, powered row
@@ -302,8 +326,9 @@ class TestUnsolvableScreen:
             RangingRequest("alive-2", FREQS_5G, one_link(rng, FREQS_5G, 50e-9)),
         ]
         retries_before = isolated_retries(requests[0])
+        out = []
 
-        responses = service.submit(requests)
+        responses = service.submit(requests, stats_out=out)
 
         assert isolated_retries(requests[0]) == retries_before + 1
         # The batched try over the three unscreened rows, then one call
@@ -313,4 +338,4 @@ class TestUnsolvableScreen:
         assert [r.ok for r in responses] == [True, False, False, True]
         assert responses[1].error == "injected kernel failure"
         assert "no signal power" in responses[2].error
-        assert service.last_stats.n_failed == 2
+        assert out[0].n_failed == 2

@@ -379,15 +379,12 @@ class TestPerCallTelemetry:
         (stats,) = out
         assert stats.n_requests == 2
         assert stats.n_plans == 2
-        assert service.last_stats == stats  # deprecated mirror
 
         grouped_out = []
         service.submit_grouped(requests[:1], stats_out=grouped_out)
         (grouped,) = grouped_out
         assert grouped.n_requests == 1
         assert grouped.n_plans == 1
-        # submit_grouped stays off the shared mirror (concurrency contract).
-        assert service.last_stats == stats
         assert REGISTRY.value("service.requests_total") == 3.0
 
 

@@ -333,11 +333,10 @@ class TestReportHooks:
         assert "engine.solve_s" in engine_report["metrics"]
         service_report = service.report()
         assert service_report["layer"] == "service"
-        assert service_report["stats"]["n_requests"] == 1
+        (requests,) = service_report["metrics"]["service.requests_total"]["series"]
+        assert requests["value"] == 1
         assert "service.submit_s" in service_report["metrics"]
         assert service_report["engine"]["layer"] == "engine"
-        # Before any submit the mirror is None, not a crash.
-        assert RangingService(FAST_CONFIG).report()["stats"] is None
 
     def test_aggregator_walks_all_layers(self, rng):
         engine = BatchTofEngine(FAST_CONFIG)
@@ -473,10 +472,10 @@ class TestOverloadEndToEnd:
 
         streaming = StreamingRangingService(
             FAST_CONFIG,
-            # Inline flushes with a small batch cap: service rate is
-            # capped at 4 links per ~40 ms while all submissions arrive
-            # up front — a genuinely saturated queue.
-            StreamConfig(max_wait_s=0.0, max_batch_links=4, offload_flush=False),
+            # A small batch cap: service rate is capped at 4 links per
+            # ~40 ms while all submissions arrive up front — a genuinely
+            # saturated queue.
+            StreamConfig(max_wait_s=0.0, max_batch_links=4),
             service=RangingService(FAST_CONFIG, engine=SlowEngine(FAST_CONFIG)),
         )
         monitor = HealthMonitor(

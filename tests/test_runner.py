@@ -56,8 +56,22 @@ class TestTofExperiment:
 
 
 class TestLocalizationExperiment:
-    def test_sample_fields(self, testbed):
-        samples = run_localization_experiment(2, 0.3, seed=5, testbed=testbed)
+    def test_sample_fields(self, testbed, monkeypatch):
+        # The caller's config must reach the pairs: a profile-free one
+        # runs no L1 profile solve.
+        import repro.core.batch as batch
+
+        def no_profile(*args, **kwargs):
+            raise AssertionError("L1 profile solved despite compute_profile=False")
+
+        monkeypatch.setattr(batch, "invert_ndft_batch", no_profile)
+        samples = run_localization_experiment(
+            2,
+            0.3,
+            seed=5,
+            testbed=testbed,
+            estimator_config=TofEstimatorConfig(compute_profile=False),
+        )
         assert len(samples) == 2
         for s in samples:
             assert s.error_m >= 0

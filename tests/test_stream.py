@@ -20,6 +20,7 @@ from repro.core.ndft import steering_vector
 from repro.core.sparse import SparseSolverConfig
 from repro.core.tof import TofEstimatorConfig
 from repro.net.service import LinkRequest, RangingRequest, RangingService
+from repro.obs import TRACER
 from repro.rf.constants import SPEED_OF_LIGHT
 from repro.stream import (
     LinkTracker,
@@ -33,6 +34,7 @@ from repro.stream import (
     TrackerConfig,
     schedule_sweep_arrivals,
 )
+from repro.stream.service import FLUSH_WORKERS
 from repro.wifi.bands import US_BAND_PLAN
 
 FREQS = US_BAND_PLAN.subset_5g().center_frequencies_hz
@@ -490,19 +492,20 @@ class TestMicroBatching:
         with pytest.raises(ValueError):
             StreamConfig(max_batch_links=0)
         with pytest.raises(ValueError):
-            StreamConfig(flush_workers=0)
-        with pytest.raises(ValueError):
             SweepRequest("empty", ())
+        # A non-sweep would raise inside the flush task and strand every
+        # caller of that flush, so it is refused at construction.
+        with pytest.raises(TypeError, match="'bad'.*str"):
+            SweepRequest("bad", ("not a sweep",))
 
 
 class TestFlushOffload:
     def test_midflush_submits_coalesce_into_next_batch(self, rng, make_streaming):
-        """The ROADMAP offload item, pinned: while a (deliberately
-        blocked) engine solve runs on the flush worker, the event loop
-        stays live and submissions arriving mid-flush park and coalesce
-        into the *next* batch — with the inline flush they would have
-        had to wait for the loop to unblock first (this test would
-        deadlock)."""
+        """While a (deliberately blocked) engine solve runs on the
+        flush worker, the event loop stays live and submissions
+        arriving mid-flush park and coalesce into the *next* batch —
+        a solve on the loop thread would deadlock this test — and
+        their queue wait lasts until their own solve starts."""
         release = threading.Event()
         entered = threading.Event()
 
@@ -546,41 +549,40 @@ class TestFlushOffload:
             # Let both park and their follow-up flush fire; it queues
             # behind the blocked solve on the size-1 worker.
             await asyncio.sleep(0.01)
+            released_perf_s = time.perf_counter()
             release.set()
             responses = await asyncio.wait_for(
                 asyncio.gather(first, *late), timeout=60.0
             )
             await streaming.drain()
-            return responses
+            return responses, released_perf_s
 
-        responses = asyncio.run(run())
+        TRACER.clear()
+        TRACER.configure(enabled=True)
+        try:
+            responses, released_perf_s = asyncio.run(run())
+        finally:
+            TRACER.configure(enabled=False)
         assert all(r.ok for r in responses)
         # One flush for the gated solo request, one for both mid-flush
         # arrivals together — not three.
         assert streaming.stats.n_flushes == 2
         assert streaming.stats.largest_flush == 2
         assert streaming.stats.n_requests == 3
+        # A queue wait lasts until the solve starts on the worker, so
+        # it covers the time spent behind the gated solve.
+        waits = {
+            s["attrs"]["link"]: s
+            for s in TRACER.finished()
+            if s["name"] == "stream.queue_wait"
+        }
+        for link in ("mid-0", "mid-1"):
+            wait = waits[link]
+            assert wait["duration_s"] >= released_perf_s - wait["start_perf_s"]
         streaming.close()
 
-    def test_inline_flush_flag_preserves_old_behavior(self, rng, make_streaming):
-        """offload_flush=False solves on the loop thread: no worker is
-        ever created, and results still match the one-shot path."""
-        request = RangingRequest("inline", FREQS, one_link(rng, FREQS))
-        want = RangingService(FAST_CONFIG).submit([request])[0]
-        streaming = make_streaming(
-            FAST_CONFIG, StreamConfig(offload_flush=False)
-        )
-
-        async def run():
-            return await streaming.submit(request)
-
-        got = asyncio.run(run())
-        assert abs(got.estimate.tof_s - want.estimate.tof_s) <= 1e-12
-        assert not streaming._executors  # inline path never spawned workers
-
     def test_drain_awaits_inflight_offloaded_flushes(self, rng, make_streaming):
-        """After drain() returns, every caller's future is resolved —
-        the guarantee the inline flush gave for free."""
+        """After drain() returns, every caller's future is resolved."""
         streaming = make_streaming(
             FAST_CONFIG, StreamConfig(max_wait_s=60.0)
         )
@@ -622,8 +624,10 @@ class TestFlushPool:
     def test_pooled_matches_inline_everywhere(
         self, rng, small_plan, fast_config, make_streaming
     ):
-        """Pooled flushes == inline flushes at ≤ 1e-12 s, for a flush
-        mixing two product band plans and sweep requests."""
+        """Pooled flushes == one-shot service and engine calls at
+        ≤ 1e-12 s, for a flush mixing two product band plans and sweep
+        requests."""
+        from repro.core.batch import BatchTofEngine
         from repro.rf.environment import free_space
         from repro.rf.geometry import Point
         from repro.wifi.hardware import INTEL_5300
@@ -646,35 +650,33 @@ class TestFlushPool:
             rng=rng,
         )
         sweeps = [link.sweep(2) for _ in range(2)]
+        streaming = make_streaming(fast_config)
 
-        def run_through(streaming):
-            async def run():
-                return await asyncio.gather(
-                    *(streaming.submit(r) for r in products),
-                    *(
-                        streaming.submit(SweepRequest(f"sw{i}", (sweep,)))
-                        for i, sweep in enumerate(sweeps)
-                    ),
-                )
+        async def run():
+            return await asyncio.gather(
+                *(streaming.submit(r) for r in products),
+                *(
+                    streaming.submit(SweepRequest(f"sw{i}", (sweep,)))
+                    for i, sweep in enumerate(sweeps)
+                ),
+            )
 
-            return asyncio.run(run())
-
-        pooled_service = make_streaming(fast_config)
-        inline_service = make_streaming(
-            fast_config, StreamConfig(offload_flush=False)
+        pooled = asyncio.run(run())
+        product_want = RangingService(fast_config).submit(products)
+        sweep_want = BatchTofEngine(fast_config).estimate_sweeps_batch(
+            [(sweep,) for sweep in sweeps]
         )
-        pooled = run_through(pooled_service)
-        inline = run_through(inline_service)
-        assert [r.link_id for r in pooled] == [r.link_id for r in inline]
-        for a, b in zip(pooled, inline):
-            assert a.ok and b.ok
-            assert abs(a.estimate.tof_s - b.estimate.tof_s) <= 1e-12
-        # Both paths partition identically: 2 product plans + 1 sweep
-        # signature = 3 groups in 1 flush.
-        for streaming in (pooled_service, inline_service):
-            assert streaming.stats.n_flushes == 1
-            assert streaming.stats.n_groups == 3
-            assert streaming.stats.n_requests == 6
+        assert [r.link_id for r in pooled] == ["p0", "p1", "p2", "p3", "sw0", "sw1"]
+        want_tofs = [r.estimate.tof_s for r in product_want] + [
+            e.tof_s for e in sweep_want
+        ]
+        for got, want_tof in zip(pooled, want_tofs, strict=True):
+            assert got.ok
+            assert abs(got.estimate.tof_s - want_tof) <= 1e-12
+        # 2 product plans + 1 sweep signature = 3 groups in 1 flush.
+        assert streaming.stats.n_flushes == 1
+        assert streaming.stats.n_groups == 3
+        assert streaming.stats.n_requests == 6
 
     def test_heterogeneous_plan_flushes_overlap(self, rng, make_streaming):
         """The tentpole's point, pinned with an instrumented engine:
@@ -755,32 +757,6 @@ class TestFlushPool:
         assert len(set(threads_seen["narrow"])) == 1
         assert set(threads_seen["wide"]).isdisjoint(threads_seen["narrow"])
 
-    def test_flush_workers_one_restores_shared_worker(self, rng, make_streaming):
-        """flush_workers=1 pins every plan to the same single thread —
-        the pre-pool behavior, still exact."""
-        small = US_BAND_PLAN.subset_5g().decimate(2).center_frequencies_hz
-        threads_seen: list[str] = []
-
-        class RecordingService(RangingService):
-            def submit_grouped(self, requests):
-                threads_seen.append(threading.current_thread().name)
-                return super().submit_grouped(requests)
-
-        streaming = make_streaming(
-            service=RecordingService(FAST_CONFIG),
-            stream=StreamConfig(flush_workers=1),
-        )
-
-        async def run():
-            return await asyncio.gather(
-                streaming.submit(RangingRequest("a", FREQS, one_link(rng, FREQS))),
-                streaming.submit(RangingRequest("b", small, one_link(rng, small))),
-            )
-
-        responses = asyncio.run(run())
-        assert all(r.ok for r in responses)
-        assert len(threads_seen) == 2 and len(set(threads_seen)) == 1
-
     def test_mixed_flush_ordering_and_per_type_failure_counts(
         self, rng, small_plan, fast_config, make_streaming
     ):
@@ -853,7 +829,7 @@ class TestFlushPool:
             assert streaming._pool_slot(hot) == hot_slot
             assert len(streaming._slot_by_key) <= 3
         # Post-saturation plans still spread across the pool.
-        assert len(churn_slots) == streaming.stream_config.flush_workers
+        assert len(churn_slots) == FLUSH_WORKERS
 
     def test_sweep_counts_do_not_split_the_group(
         self, rng, small_plan, fast_config, make_streaming

@@ -77,18 +77,26 @@ def unsolvable_reason(products: ComplexCSI) -> str | None:
       radio's all-zero row, or a row so faint that the squares
       underflow.  The deflation kernel drops links by the same sum.
 
-    The ranging service answers such links before its batched solve,
-    :meth:`BatchTofEngine.estimate_products_batch` rejects such rows at
-    its boundary, and :meth:`BatchTofEngine.estimate_sweeps_batch`
-    rejects a link whose band-group products fail it, so all three
-    apply this one rule.  A row it passes can still fail inside a
-    kernel; the service's link-by-link retry covers those.
+    The engine screens every product row, and every band group of a
+    sweep link, with it and raises :class:`UnsolvableLinks` before any
+    kernel runs.  A row it passes can still fail inside a kernel;
+    :func:`repro.net.service.solve_isolated` covers those.
     """
     if not np.isfinite(products).all():
         return "non-finite products (NaN or Inf)"
     if np.vdot(products, products).real == 0.0:
         return "no signal power (all products zero)"
     return None
+
+
+class UnsolvableLinks(ValueError):
+    """Raised before any kernel runs: ``reasons`` maps each link of the
+    call that cannot be solved (its row, or its place in
+    ``sweeps_per_link``) to why."""
+
+    def __init__(self, message: str, reasons: dict[int, str]) -> None:
+        super().__init__(message)
+        self.reasons = reasons
 
 
 class BatchTofEngine:
@@ -134,9 +142,10 @@ class BatchTofEngine:
             One :class:`TofEstimate` per row of ``channels``.
 
         Raises:
-            ValueError: On malformed shapes, or before any kernel runs
-                when rows fail :func:`unsolvable_reason`; the message
-                names each such row and its reason.
+            ValueError: On malformed shapes.
+            UnsolvableLinks: Before any kernel runs, when rows fail
+                :func:`unsolvable_reason`; the message and ``reasons``
+                name each such row and its reason.
         """
         freqs = np.asarray(frequencies_hz, dtype=float)
         stacked = np.asarray(channels, dtype=complex)
@@ -150,15 +159,16 @@ class BatchTofEngine:
                 f"{len(freqs)} frequencies were given"
             )
         n_links = stacked.shape[0]
-        unsolvable = [
-            f"row {i}: {reason}"
+        reasons = {
+            i: reason
             for i, row in enumerate(stacked)
             if (reason := unsolvable_reason(row)) is not None
-        ]
-        if unsolvable:
-            raise ValueError(
-                f"{len(unsolvable)} of {n_links} rows cannot be solved: "
-                + "; ".join(unsolvable)
+        }
+        if reasons:
+            raise UnsolvableLinks(
+                f"{len(reasons)} of {n_links} rows cannot be solved: "
+                + "; ".join(f"row {i}: {reason}" for i, reason in reasons.items()),
+                reasons,
             )
         cals = self._check_calibrations(calibrations, n_links)
         iterations: list[int] = []
@@ -208,12 +218,10 @@ class BatchTofEngine:
             One :class:`TofEstimate` per link, in input order.
 
         Raises:
-            ValueError: When a link has no sweep, when the front end
-                rejects a sweep (non-finite CSI), or before any kernel
-                runs when a link's band-group products fail
-                :func:`unsolvable_reason`, as for a dead radio's
-                all-zero sweep; that message names each such link, its
-                band group and the reason.
+            UnsolvableLinks: Before any kernel runs, naming each link
+                the front end rejects (non-finite CSI), that has no
+                usable band group, or whose band-group products fail
+                :func:`unsolvable_reason`, as for a dead radio's sweep.
         """
         est = self._estimator
         n_links = len(sweeps_per_link)
@@ -233,24 +241,39 @@ class BatchTofEngine:
                 list[tuple[str, FrequencyVector, ComplexCSI, int, float | None]]
             ]
             link_jobs = []
+            # Every failure the screen sees, as (link, "(<name> group): "
+            # or "", reason), so one raise names them all.
+            failures: list[tuple[int, str, str]] = []
             for i, sweeps in enumerate(sweeps_per_link):
-                sweep_list = list(sweeps)
-                if not sweep_list:
-                    raise ValueError(f"link {i}: need at least one sweep")
-                coarse_rt, jobs = est._link_jobs(sweep_list, cals[i])
+                try:
+                    coarse_rt, jobs = est._link_jobs(list(sweeps), cals[i])
+                except ValueError as exc:  # the front end's named rejection
+                    failures.append((i, "", str(exc)))
+                    coarse_rt, jobs = None, []
+                else:
+                    if not jobs:
+                        failures.append((i, "", "no usable band group in the sweep"))
+                    failures.extend(
+                        (i, f"({name} group): ", reason)
+                        for name, _, products, _, _ in jobs
+                        if (reason := unsolvable_reason(products)) is not None
+                    )
                 coarse_rts.append(coarse_rt)
                 link_jobs.append(jobs)
-            unsolvable = [
-                f"link {i} ({name} group): {reason}"
-                for i, jobs in enumerate(link_jobs)
-                for name, _, products, _, _ in jobs
-                if (reason := unsolvable_reason(products)) is not None
-            ]
-            if unsolvable:
-                n_rows = sum(len(jobs) for jobs in link_jobs)
-                raise ValueError(
-                    f"{len(unsolvable)} of {n_rows} band-group rows cannot be "
-                    "solved: " + "; ".join(unsolvable)
+            if failures:
+                # A link without band-group rows counts as one row.
+                n_rows = sum(max(len(jobs), 1) for jobs in link_jobs)
+                per_link: dict[int, list[str]] = {}
+                for i, group, reason in failures:
+                    per_link.setdefault(i, []).append(group + reason)
+                raise UnsolvableLinks(
+                    f"{len(failures)} of {n_rows} band-group rows cannot be "
+                    "solved: "
+                    + "; ".join(
+                        f"link {i} {group}{reason}" if group else f"link {i}: {reason}"
+                        for i, group, reason in failures
+                    ),
+                    {i: "; ".join(named) for i, named in per_link.items()},
                 )
 
             # Shard the (link, group) jobs by frequency set so each shard
@@ -276,8 +299,6 @@ class BatchTofEngine:
             estimates = []
             for i in range(n_links):
                 groups = [group_results[(i, j)] for j in range(len(link_jobs[i]))]
-                if not groups:
-                    raise ValueError(f"link {i}: no usable band group in the sweep")
                 raw = est._fuse(groups)
                 estimates.append(
                     TofEstimate(

@@ -3,10 +3,11 @@
 :class:`RangingService` is the serving-layer facade: callers submit a
 batch of per-link measurement requests (band products, as produced by
 the CSI front end), the service groups them by band plan, shards each
-group to bound per-solve memory, answers links whose products cannot be
-solved (non-finite, or no signal power) with a named error, runs the
-rest of every shard through one
-:class:`~repro.core.batch.BatchTofEngine` call, and returns per-link
+group to bound per-solve memory, solves every shard with
+:func:`solve_isolated` (shared with the streaming front end's sweep
+flushes: the engine names the links it cannot solve, the layer answers
+each with its reason, and the rest are solved in one more
+:class:`~repro.core.batch.BatchTofEngine` call), and returns per-link
 :class:`~repro.core.tof.TofEstimate` responses in request order.
 
 Requests on the same band plan amortize one cached NDFT operator and
@@ -20,11 +21,11 @@ from __future__ import annotations
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence, TypeVar
 
 import numpy as np
 
-from repro.core.batch import BatchTofEngine, unsolvable_reason
+from repro.core.batch import BatchTofEngine, UnsolvableLinks
 from repro.core.cfo import LinkCalibration
 from repro.core.tof import TofEstimate, TofEstimatorConfig
 from repro.obs import REGISTRY, timed_span
@@ -45,16 +46,62 @@ def plan_label(signature: object) -> str:
 ISOLATED_LINK_ERRORS = (ValueError, np.linalg.LinAlgError)
 """Exceptions a single degenerate link may raise out of a batched solve.
 
-One definition for every layer that retries link by link (this service's
-shards, the streaming front end's sweep flushes): when estimator
-internals surface a new failure type for bad CSI, widening this tuple
-fixes all of them at once.  The service answers the failures it can
-foresee before solving (:func:`~repro.core.batch.unsolvable_reason`:
-non-finite or powerless products), so for product requests this is the
-backstop for the rest.  ``LinAlgError`` is listed explicitly because
-the hybrid path's least-squares refits can raise it on degenerate
-products, and on older NumPy it is not a ``ValueError`` subclass.
+:func:`solve_isolated` (the service's shards, the stream's sweep
+groups) and the loc layer's position solves catch them, so widening this
+tuple for a new failure type fixes every layer at once.  ``LinAlgError``
+is listed explicitly because the hybrid path's least-squares refits can
+raise it on degenerate products, and on older NumPy it is not a
+``ValueError`` subclass.
 """
+
+R = TypeVar("R", bound="LinkRequest")
+
+
+def solve_isolated(
+    requests: Sequence[R],
+    solve: Callable[[list[R]], Sequence[TofEstimate]],
+    retries_metric: str,
+    label: str,
+) -> list[RangingResponse]:
+    """One response per request, in order; a link's failure stays its own.
+
+    ``solve`` is one batched engine call, first over every request.
+    Links the engine names (:class:`~repro.core.batch.UnsolvableLinks`,
+    raised before any kernel runs) are answered with their reasons
+    under their own ids, and the rest are solved the same way in one
+    more call.  Any other :data:`ISOLATED_LINK_ERRORS` failure, one no
+    screen foresaw, solves the links one at a time (counted once in
+    ``retries_metric{plan=label}``); a lone link's failure becomes its
+    error.  Other exceptions propagate.
+    """
+    requests = list(requests)
+    if not requests:
+        return []
+    try:
+        estimates = solve(requests)
+    except UnsolvableLinks as exc:
+        rest = [r for i, r in enumerate(requests) if i not in exc.reasons]
+        solved = iter(solve_isolated(rest, solve, retries_metric, label))
+        return [
+            RangingResponse(link_id=r.link_id, estimate=None, error=exc.reasons[i])
+            if i in exc.reasons
+            else next(solved)
+            for i, r in enumerate(requests)
+        ]
+    except ISOLATED_LINK_ERRORS as exc:
+        if len(requests) == 1:
+            error = str(exc) or type(exc).__name__
+            return [RangingResponse(requests[0].link_id, estimate=None, error=error)]
+        REGISTRY.inc(retries_metric, plan=label)
+        return [
+            response
+            for request in requests
+            for response in solve_isolated([request], solve, retries_metric, label)
+        ]
+    return [
+        RangingResponse(link_id=request.link_id, estimate=estimate)
+        for request, estimate in zip(requests, estimates, strict=True)
+    ]
 
 
 @dataclass(frozen=True)
@@ -147,11 +194,12 @@ class RangingResponse:
     """The service's answer for one request.
 
     ``estimate`` is ``None`` when this link's measurement was unusable;
-    ``error`` then says why.  Products the service screens out before
-    solving carry the screen's reason (non-finite products, or no
-    signal power as from a disassociated radio's all-zero row); a link
-    that failed inside the solve carries the estimator's message.  One
-    dead link never poisons the rest of its batch.
+    ``error`` then says why.  A link the engine names as unsolvable
+    carries the engine's reason for that link (non-finite products, or
+    no signal power as from a disassociated radio's all-zero row); a
+    link that failed alone inside the solve carries the estimator's
+    message.  One dead link never poisons the rest of its batch
+    (:func:`solve_isolated`).
     """
 
     link_id: str
@@ -344,8 +392,7 @@ class RangingService:
         Pure with respect to the service: safe to run concurrently.
         """
         responses: list[RangingResponse] = []
-        n_shards = 0
-        n_failed = 0
+        shard_starts = range(0, len(indices), self.max_shard_links)
         label = plan_label(self.plan_key(requests[indices[0]]))
         with timed_span(
             "service.plan_solve",
@@ -354,48 +401,13 @@ class RangingService:
             plan=label,
             n_links=len(indices),
         ):
-            for lo in range(0, len(indices), self.max_shard_links):
-                shard = list(indices[lo : lo + self.max_shard_links])
-                n_shards += 1
-                for response in self._solve_screened(requests, shard, label):
-                    responses.append(response)
-                    if not response.ok:
-                        n_failed += 1
-        return responses, n_shards, n_failed
-
-    def _solve_screened(
-        self,
-        requests: Sequence[RangingRequest],
-        shard: Sequence[int],
-        label: str,
-    ) -> list[RangingResponse]:
-        """One shard's responses, in shard order.
-
-        Links whose products fail
-        :func:`~repro.core.batch.unsolvable_reason` are answered with
-        that reason, and the rest go to the engine in one batched call.
-        Should that call still raise, those links are retried one at a
-        time: the backstop for failures the screen cannot foresee,
-        counted by ``service.isolated_retries_total``.
-        """
-        by_index: dict[int, RangingResponse] = {}
-        solvable: list[int] = []
-        for i in shard:
-            reason = unsolvable_reason(requests[i].products)
-            if reason is None:
-                solvable.append(i)
-            else:
-                by_index[i] = RangingResponse(
-                    link_id=requests[i].link_id, estimate=None, error=reason
+            for lo in shard_starts:
+                shard = [requests[i] for i in indices[lo : lo + self.max_shard_links]]
+                responses += solve_isolated(
+                    shard, self._solve_shard, "service.isolated_retries_total", label
                 )
-        if solvable:
-            try:
-                solved = self._solve_shard(requests, solvable)
-            except ISOLATED_LINK_ERRORS:
-                REGISTRY.inc("service.isolated_retries_total", plan=label)
-                solved = [self._solve_one(requests[i]) for i in solvable]
-            by_index.update(zip(solvable, solved, strict=True))
-        return [by_index[i] for i in shard]
+        n_failed = sum(not response.ok for response in responses)
+        return responses, len(shard_starts), n_failed
 
     def report(self) -> dict:
         """Observability snapshot: service config + series.
@@ -422,33 +434,14 @@ class RangingService:
             REGISTRY.inc("service.failed_total", stats.n_failed)
         REGISTRY.inc("service.shards_total", stats.n_shards)
 
-    def _solve_shard(
-        self, requests: Sequence[RangingRequest], shard: Sequence[int]
-    ) -> list[RangingResponse]:
-        """One batched solve over the shard's stacked products."""
-        first = requests[shard[0]]
-        stacked = np.vstack([requests[i].products for i in shard])
-        calibrations = [
-            requests[i].calibration or LinkCalibration() for i in shard
-        ]
-        estimates = self.engine.estimate_products_batch(
+    def _solve_shard(self, shard: list[RangingRequest]) -> list[TofEstimate]:
+        """One batched engine call over the shard's stacked products."""
+        first = shard[0]
+        return self.engine.estimate_products_batch(
             first.frequencies_hz,
-            stacked,
+            np.vstack([request.products for request in shard]),
             exponent=first.exponent,
-            calibrations=calibrations,
+            calibrations=[
+                request.calibration or LinkCalibration() for request in shard
+            ],
         )
-        return [
-            RangingResponse(link_id=requests[i].link_id, estimate=estimate)
-            for i, estimate in zip(shard, estimates, strict=True)
-        ]
-
-    def _solve_one(self, request: RangingRequest) -> RangingResponse:
-        """Single-link fallback; estimation failures become per-link errors."""
-        try:
-            return self._solve_shard([request], [0])[0]
-        except ISOLATED_LINK_ERRORS as exc:
-            return RangingResponse(
-                link_id=request.link_id,
-                estimate=None,
-                error=str(exc) or type(exc).__name__,
-            )

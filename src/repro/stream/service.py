@@ -13,13 +13,16 @@ suspends the caller; a coalescing scheduler flushes the queue into one
 requests are waiting or after ``max_wait_s`` (whichever first), then
 resolves every caller's future from the per-link responses.  N
 concurrent 1-link streams therefore get the same band-plan grouping,
-sharding and GEMM amortization as one N-link batch — the
-``streaming_coalesced`` benchmark series pins the parity.
+sharding and GEMM amortization as one N-link batch —
+``tests/test_stream.py::TestStreamingEquivalence::test_concurrent_streams_match_one_shot_batch``
+pins the parity.
 
-Failure isolation is inherited from the service layer: a poisoned
-stream (NaN CSI, dead radio) resolves to an error-carrying
-:class:`RangingResponse` for *that* caller only; its coalesced peers get
-their estimates from the same flush.
+Failure isolation is the service layer's own
+(:func:`~repro.net.service.solve_isolated`, for product and sweep
+groups alike): a poisoned stream (NaN CSI, dead radio) resolves to an
+error-carrying :class:`RangingResponse` for *that* caller only, named
+by the engine, and its coalesced peers get their estimates from one
+more batched call.
 
 Sweep-level requests (:class:`SweepRequest`) ride the same queue and
 flush through :meth:`BatchTofEngine.estimate_sweeps_batch`, which
@@ -49,12 +52,12 @@ from dataclasses import dataclass, field
 from repro.core.cfo import LinkCalibration
 from repro.core.tof import TofEstimatorConfig
 from repro.net.service import (
-    ISOLATED_LINK_ERRORS,
     LinkRequest,
     RangingRequest,
     RangingResponse,
     RangingService,
     plan_label,
+    solve_isolated,
 )
 from repro.obs import (
     COUNT_BUCKETS,
@@ -659,39 +662,18 @@ class StreamingRangingService:
     def _solve_sweeps(
         self, requests: list[SweepRequest]
     ) -> list[RangingResponse]:
-        """Batched sweep estimation with the service's isolation rule:
-        a degenerate link is retried alone so its peers' batch survives.
-        Non-isolatable failures propagate to the caller-side rejection.
-        """
-        try:
-            return self._solve_sweep_batch(requests)
-        except ISOLATED_LINK_ERRORS:
-            return [self._solve_sweep_one(request) for request in requests]
-
-    def _solve_sweep_batch(
-        self, requests: list[SweepRequest]
-    ) -> list[RangingResponse]:
-        estimates = self.engine.estimate_sweeps_batch(
-            [request.sweeps for request in requests],
-            [request.calibration or LinkCalibration() for request in requests],
+        """Batched sweep estimation under the service's isolation rule
+        (:func:`~repro.net.service.solve_isolated`); other failures
+        propagate to the caller-side rejection."""
+        return solve_isolated(
+            requests,
+            lambda batch: self.engine.estimate_sweeps_batch(
+                [request.sweeps for request in batch],
+                [request.calibration or LinkCalibration() for request in batch],
+            ),
+            "stream.isolated_retries_total",
+            plan_label(requests[0].plan_signature()),
         )
-        return [
-            RangingResponse(link_id=request.link_id, estimate=estimate)
-            for request, estimate in zip(requests, estimates, strict=True)
-        ]
-
-    def _solve_sweep_one(self, request: SweepRequest) -> RangingResponse:
-        try:
-            estimate = self.engine.estimate_sweeps_batch(
-                [request.sweeps], [request.calibration or LinkCalibration()]
-            )[0]
-        except ISOLATED_LINK_ERRORS as exc:
-            return RangingResponse(
-                link_id=request.link_id,
-                estimate=None,
-                error=str(exc) or type(exc).__name__,
-            )
-        return RangingResponse(link_id=request.link_id, estimate=estimate)
 
     def _resolve(
         self, pending: list[_Pending], responses: list[RangingResponse]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import repro.core.batch as batch_module
-from repro.core.batch import BatchTofEngine, unsolvable_reason
+from repro.core.batch import BatchTofEngine, UnsolvableLinks, unsolvable_reason
 from repro.core.cfo import LinkCalibration
 from repro.core.ndft import (
     capped_window_s,
@@ -23,6 +23,7 @@ from repro.core.tof import TofEstimator, TofEstimatorConfig
 from repro.rf.environment import free_space
 from repro.rf.geometry import Point
 from repro.wifi.bands import US_BAND_PLAN
+from repro.wifi.csi import CsiSweep
 from repro.wifi.hardware import INTEL_5300
 from repro.wifi.radio import SimulatedLink
 
@@ -639,6 +640,18 @@ def dead_sweep(rng, plan):
     return sweep
 
 
+def one_band_sweep(rng, plan):
+    """A sweep that reached a single band: no band group to solve."""
+    return CsiSweep([intel_link(rng, plan).sweep(2)[0]])
+
+
+def non_finite_sweep(rng, plan):
+    """A sweep with one NaN CSI value."""
+    sweep = intel_link(rng, plan).sweep(2)
+    sweep[3].reverse.csi[5] = np.nan
+    return sweep
+
+
 class TestSweepsBatch:
     def test_matches_estimate_many(self, rng, small_plan, fast_config):
         sweeps_per_link = [
@@ -667,22 +680,31 @@ class TestSweepsBatch:
         with pytest.raises(ValueError):
             engine.estimate_sweeps_batch([[]])
 
+    @pytest.mark.parametrize(
+        ("bad_sweep", "named"),
+        [
+            (dead_sweep, r"1 of 2 band-group rows .*link 1 \(5g group\): no signal power"),
+            (one_band_sweep, r"1 of 2 band-group rows .*link 1: no usable band group"),
+            (non_finite_sweep, r"1 of 2 band-group rows .*link 1: non-finite CSI on band"),
+        ],
+        ids=["all-zero", "one-band", "non-finite"],
+    )
     @pytest.mark.parametrize("method", ["ista", "hybrid"])
     def test_dead_sweep_named_before_any_kernel(
-        self, rng, small_plan, method, no_kernels
+        self, rng, small_plan, method, bad_sweep, named, no_kernels
     ):
-        """An all-zero sweep stacked with a good one fails the call at
-        the engine boundary, naming the link, its band group and the
-        reason, before extraction or FISTA touch the stack."""
+        """A sweep no kernel can solve, stacked after a good one, fails
+        the call at the engine boundary, naming the link (and its band
+        group, when one is at fault) and the reason, before the front
+        end's rows reach extraction or FISTA.  ``reasons`` names only
+        that link."""
         engine = BatchTofEngine(
             TofEstimatorConfig(method=method, compute_profile=False)
         )
         good = intel_link(rng, small_plan).sweep(2)
-        with pytest.raises(
-            ValueError,
-            match=r"1 of 2 band-group rows .*link 1 \(5g group\): no signal power",
-        ):
-            engine.estimate_sweeps_batch([[good], [dead_sweep(rng, small_plan)]])
+        with pytest.raises(UnsolvableLinks, match=named) as caught:
+            engine.estimate_sweeps_batch([[good], [bad_sweep(rng, small_plan)]])
+        assert list(caught.value.reasons) == [1]
 
     def test_one_link_api_names_dead_sweep(self, rng, small_plan, fast_config):
         with pytest.raises(

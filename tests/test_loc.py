@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.batch import BatchTofEngine
+from repro.core.batch import BatchTofEngine, unsolvable_reason
 from repro.core.localization import (
     locate_transmitter,
 )
@@ -353,16 +353,25 @@ class TestLocalizationService:
         self, rng, make_loc_service
     ):
         """A tick whose clients include one with an all-zero anchor row
-        reaches the engine as one call over the other links, with no
-        link-by-link retry; that client still gets a fix from its other
-        anchors and the dead anchor's error names the reason."""
+        reaches the engine as the boundary call over every link, where
+        the engine names the dead row before any kernel runs, then one
+        call over the other links, with no link-by-link retry; that
+        client still gets a fix from its other anchors and the dead
+        anchor's error names the reason."""
         calls: list[int] = []
+        kernel_rows: list[np.ndarray] = []
 
         class CountingEngine(BatchTofEngine):
             def estimate_products_batch(self, frequencies_hz, channels, *args, **kwargs):
                 calls.append(len(channels))
                 return super().estimate_products_batch(
                     frequencies_hz, channels, *args, **kwargs
+                )
+
+            def _estimate_group_stack(self, name, freqs, stacked, *args, **kwargs):
+                kernel_rows.extend(np.array(stacked))
+                return super()._estimate_group_stack(
+                    name, freqs, stacked, *args, **kwargs
                 )
 
         ranging = StreamingRangingService(
@@ -390,7 +399,8 @@ class TestLocalizationService:
             )
 
         fixes = {fix.client_id: fix for fix in asyncio.run(run())}
-        assert calls == [4 * len(ANCHORS) - 1]
+        assert calls == [4 * len(ANCHORS), 4 * len(ANCHORS) - 1]
+        assert all(unsolvable_reason(row) is None for row in kernel_rows)
         assert service.ranging.stats.n_flushes == 1
         assert (
             REGISTRY.value("service.isolated_retries_total", plan=label)

@@ -28,16 +28,29 @@ def one_link(rng, freqs, tau=30e-9):
 
 
 class RecordingEngine(BatchTofEngine):
-    """Keeps a copy of the stack every batched call receives."""
+    """Keeps a copy of the stack every batched call receives, and of
+    every stack that reaches the kernels."""
 
     def __init__(self, config):
         super().__init__(config)
         self.calls: list[np.ndarray] = []
+        self.kernel_stacks: list[np.ndarray] = []
 
     def estimate_products_batch(self, frequencies_hz, channels, *args, **kwargs):
         self.calls.append(np.array(channels))
         return super().estimate_products_batch(
             frequencies_hz, channels, *args, **kwargs
+        )
+
+    def _estimate_group_stack(self, name, freqs, stacked, *args, **kwargs):
+        self.kernel_stacks.append(np.array(stacked))
+        return super()._estimate_group_stack(name, freqs, stacked, *args, **kwargs)
+
+    def no_kernel_saw_an_unsolvable_row(self):
+        return all(
+            unsolvable_reason(row) is None
+            for stack in self.kernel_stacks
+            for row in stack
         )
 
 
@@ -242,13 +255,16 @@ class TestRangingService:
 
 
 class TestUnsolvableScreen:
-    """Links that cannot be solved are answered before the batched solve."""
+    """Links the engine names as unsolvable are answered with its
+    reasons, and the rest are solved in one more batched call."""
 
     def test_screened_links_skip_the_batched_solve(self, rng):
-        """One all-zero and one NaN row: one engine call carrying the
-        other rows, no link-by-link retry, request order kept, named
-        reasons, and the other links' ToF bit-identical to submitting
-        them alone."""
+        """One all-zero and one NaN row: the boundary call carries all
+        five rows, because the engine is the only screen, and names the
+        two before any kernel runs; then one call carries the other
+        rows.  No link-by-link retry, request order kept, named reasons,
+        and the other links' ToF bit-identical to submitting them
+        alone."""
         engine = RecordingEngine(FAST_CONFIG)
         service = RangingService(engine=engine)
         poisoned = one_link(rng, FREQS_5G)
@@ -266,10 +282,11 @@ class TestUnsolvableScreen:
 
         responses = service.submit(requests, stats_out=out)
 
-        assert len(engine.calls) == 1
+        assert [len(stack) for stack in engine.calls] == [5, 3]
         np.testing.assert_array_equal(
-            engine.calls[0], np.vstack([r.products for r in alive])
+            engine.calls[1], np.vstack([r.products for r in alive])
         )
+        assert engine.no_kernel_saw_an_unsolvable_row()
         assert isolated_retries(requests[0]) == retries_before
         assert [r.link_id for r in responses] == [r.link_id for r in requests]
         assert "no signal power" in responses[1].error
@@ -283,8 +300,9 @@ class TestUnsolvableScreen:
             assert got.estimate.tof_s == want.estimate.tof_s
 
     def test_fully_screened_shard_still_counts(self, rng):
-        """A shard whose links are all screened makes no engine call
-        but still counts as a shard, and its failures count too."""
+        """A shard whose links are all unsolvable makes only the
+        boundary call, where the engine names both before any kernel
+        runs, but still counts as a shard, and its failures count too."""
         engine = RecordingEngine(FAST_CONFIG)
         service = RangingService(engine=engine, max_shard_links=2)
         out = []
@@ -297,14 +315,17 @@ class TestUnsolvableScreen:
             stats_out=out,
         )
         assert [r.ok for r in responses] == [False, False, True]
-        assert [len(stack) for stack in engine.calls] == [1]
+        assert [len(stack) for stack in engine.calls] == [2, 1]
+        assert engine.no_kernel_saw_an_unsolvable_row()
         assert out[0].n_shards == 2
         assert out[0].n_failed == 2
 
     def test_unforeseen_failure_retries_link_by_link(self, rng):
         """The backstop: an engine that raises on a finite, powered row
         still gets its shard retried one link at a time, and the retry
-        counter moves."""
+        counter moves.  The trap raises before the engine's screen, so
+        the batched try carries the dead row too; the engine names that
+        row in its one-link retry, before any kernel runs."""
         trap = one_link(rng, FREQS_5G, 40e-9)
         assert unsolvable_reason(trap) is None
 
@@ -331,9 +352,9 @@ class TestUnsolvableScreen:
         responses = service.submit(requests, stats_out=out)
 
         assert isolated_retries(requests[0]) == retries_before + 1
-        # The batched try over the three unscreened rows, then one call
-        # per unscreened link.
-        assert [len(stack) for stack in engine.calls] == [3, 1, 1, 1]
+        # The batched try over all four rows, then one call per link.
+        assert [len(stack) for stack in engine.calls] == [4, 1, 1, 1, 1]
+        assert engine.no_kernel_saw_an_unsolvable_row()
         assert [r.link_id for r in responses] == [r.link_id for r in requests]
         assert [r.ok for r in responses] == [True, False, False, True]
         assert responses[1].error == "injected kernel failure"

@@ -15,12 +15,13 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.batch import BatchTofEngine
 from repro.core.cfo import LinkCalibration
 from repro.core.ndft import steering_vector
 from repro.core.sparse import SparseSolverConfig
 from repro.core.tof import TofEstimatorConfig
-from repro.net.service import LinkRequest, RangingRequest, RangingService
-from repro.obs import TRACER
+from repro.net.service import LinkRequest, RangingRequest, RangingService, plan_label
+from repro.obs import REGISTRY, TRACER
 from repro.rf.constants import SPEED_OF_LIGHT
 from repro.stream import (
     LinkTracker,
@@ -150,6 +151,45 @@ class TestStreamingEquivalence:
             assert abs(response.estimate.tof_s - estimate.tof_s) <= 1e-12
 
 
+class SweepCallCounter(BatchTofEngine):
+    """Records the size of every batched sweep call, and raises an
+    unforeseen ``LinAlgError`` whenever the ``trap`` sweep is in it."""
+
+    def __init__(self, config, trap=None):
+        super().__init__(config)
+        self.calls: list[int] = []
+        self.trap = trap
+
+    def estimate_sweeps_batch(self, sweeps_per_link, *args, **kwargs):
+        self.calls.append(len(sweeps_per_link))
+        if any(s is self.trap for sweeps in sweeps_per_link for s in sweeps):
+            raise np.linalg.LinAlgError("injected solver failure")
+        return super().estimate_sweeps_batch(sweeps_per_link, *args, **kwargs)
+
+
+def stream_retries(request):
+    label = plan_label(request.plan_signature())
+    return REGISTRY.value("stream.isolated_retries_total", plan=label)
+
+
+def intel_sweep(rng, plan, distance_m=3.0):
+    """One sweep of a free-space link between Intel 5300-class radios."""
+    from repro.rf.environment import free_space
+    from repro.rf.geometry import Point
+    from repro.wifi.hardware import INTEL_5300
+    from repro.wifi.radio import SimulatedLink
+
+    return SimulatedLink(
+        environment=free_space(),
+        tx_position=Point(0.0, 0.0),
+        rx_position=Point(distance_m, 0.0),
+        tx_state=INTEL_5300.sample_device_state(rng),
+        rx_state=INTEL_5300.sample_device_state(rng),
+        band_plan=plan,
+        rng=rng,
+    ).sweep(2)
+
+
 class TestStreamIsolation:
     def test_poisoned_stream_fails_alone(self, rng, make_streaming):
         """NaN CSI on one stream must not stall or kill coalesced peers."""
@@ -220,7 +260,10 @@ class TestStreamIsolation:
         self, rng, small_plan, fast_config, make_streaming
     ):
         """One NaN subcarrier fails its link with the front end's named
-        error, and the flush-mate gets the ToF it gets solved alone."""
+        error, and the flush-mate gets the ToF it gets solved alone.
+        The engine names the link in the flush's one batched call, so
+        the flush-mate is solved in one more call and nothing is
+        retried alone."""
         from repro.core.batch import BatchTofEngine
         from repro.rf.environment import free_space
         from repro.rf.geometry import Point
@@ -240,18 +283,24 @@ class TestStreamIsolation:
         poisoned = link.sweep(2)
         poisoned[5].reverse.csi[3] = np.nan
         alone = BatchTofEngine(fast_config).estimate_sweeps_batch([[good]])[0]
-        streaming = make_streaming(fast_config)
+        engine = SweepCallCounter(fast_config)
+        streaming = make_streaming(service=RangingService(engine=engine))
+        requests = [
+            SweepRequest("good", (good,)),
+            SweepRequest("bad", (poisoned,)),
+        ]
+        retries_before = stream_retries(requests[0])
 
         async def run():
             return await asyncio.wait_for(
-                asyncio.gather(
-                    streaming.submit(SweepRequest("good", (good,))),
-                    streaming.submit(SweepRequest("bad", (poisoned,))),
-                ),
+                asyncio.gather(*(streaming.submit(r) for r in requests)),
                 timeout=60.0,
             )
 
         got = asyncio.run(run())
+        assert engine.calls == [2, 1]
+        assert stream_retries(requests[0]) == retries_before
+        assert "link 0" not in got[1].error
         assert streaming.stats.n_flushes == 1
         assert got[0].ok
         assert abs(got[0].estimate.tof_s - alone.tof_s) <= 1e-12
@@ -265,7 +314,9 @@ class TestStreamIsolation:
     ):
         """A dead radio's all-zero sweep fails its link with the engine's
         screen reason, and the flush-mate gets the ToF it gets solved
-        alone, bit for bit."""
+        alone, bit for bit.  The engine names the link in the flush's
+        one batched call, so the flush-mate is solved in one more call
+        and nothing is retried alone."""
         from repro.core.batch import BatchTofEngine
         from repro.rf.environment import free_space
         from repro.rf.geometry import Point
@@ -287,23 +338,64 @@ class TestStreamIsolation:
             m.forward.csi[:] = 0.0
             m.reverse.csi[:] = 0.0
         alone = BatchTofEngine(fast_config).estimate_sweeps_batch([[good]])[0]
-        streaming = make_streaming(fast_config)
+        engine = SweepCallCounter(fast_config)
+        streaming = make_streaming(service=RangingService(engine=engine))
+        requests = [
+            SweepRequest("good", (good,)),
+            SweepRequest("dead", (dead,)),
+        ]
+        retries_before = stream_retries(requests[0])
 
         async def run():
             return await asyncio.wait_for(
-                asyncio.gather(
-                    streaming.submit(SweepRequest("good", (good,))),
-                    streaming.submit(SweepRequest("dead", (dead,))),
-                ),
+                asyncio.gather(*(streaming.submit(r) for r in requests)),
                 timeout=60.0,
             )
 
         got = asyncio.run(run())
+        assert engine.calls == [2, 1]
+        assert stream_retries(requests[0]) == retries_before
+        assert "link 0" not in got[1].error
         assert streaming.stats.n_flushes == 1
         assert got[0].ok
         assert got[0].estimate.tof_s == alone.tof_s
         assert not got[1].ok
         assert "(all group): no signal power (all products zero)" in got[1].error
+        assert streaming.stats.n_failed_sweeps == 1
+
+    def test_unforeseen_sweep_failure_retries_link_by_link(
+        self, rng, small_plan, fast_config, make_streaming
+    ):
+        """The backstop: a failure no screen foresees (a LinAlgError
+        whenever the trap sweep is in the stack) solves the flush's
+        links one at a time, counted once in
+        ``stream.isolated_retries_total``.  The trap link carries the
+        error, and each flush-mate gets the ToF it gets alone, bit for
+        bit."""
+        sweeps = [intel_sweep(rng, small_plan, 2.0 + i) for i in range(3)]
+        engine = SweepCallCounter(fast_config, trap=sweeps[1])
+        streaming = make_streaming(service=RangingService(engine=engine))
+        requests = [SweepRequest(f"s{i}", (s,)) for i, s in enumerate(sweeps)]
+        alone = [
+            BatchTofEngine(fast_config).estimate_sweeps_batch([[s]])[0]
+            for s in sweeps
+        ]
+        retries_before = stream_retries(requests[0])
+
+        async def run():
+            return await asyncio.wait_for(
+                asyncio.gather(*(streaming.submit(r) for r in requests)),
+                timeout=60.0,
+            )
+
+        got = asyncio.run(run())
+        assert streaming.stats.n_flushes == 1
+        assert engine.calls == [3, 1, 1, 1]
+        assert stream_retries(requests[0]) == retries_before + 1
+        assert [r.ok for r in got] == [True, False, True]
+        assert got[1].error == "injected solver failure"
+        for i in (0, 2):
+            assert got[i].estimate.tof_s == alone[i].tof_s
         assert streaming.stats.n_failed_sweeps == 1
 
 

@@ -115,9 +115,9 @@ def test_streaming_coalesced_matches_hybrid_batch():
 
 
 def test_localization_fixes_throughput():
-    """256 clients, one in eight with a ghosted range: the lockstep
-    batch solver agrees with a per-fix loop to 1e-9 m and drops the
-    same ranges."""
+    """256 clients, one in eight with a ghosted range: each row of the
+    stacked solve equals the one-client ``locate_transmitter`` call
+    (pinned at 1e-9 m), with the same ranges dropped."""
     n_clients = 256
     anchors = [Point(0.0, 0.0), Point(14.0, 0.0), Point(14.0, 10.0), Point(0.0, 10.0)]
     rng = np.random.default_rng(42)

@@ -18,10 +18,11 @@ duty, and the printout shows what each layer contributed.
 A second section shows the **multi-AP regime**: real deployments range
 against whichever APs each client can hear, so ``locate`` takes a
 request-level anchor set (``anchor_indices``) naming the client's own
-subset of the deployment's anchors.  Clients sharing a subset still
-coalesce into one batched position solve (the solve queue groups by
-anchor-set signature), and each fix's diagnostics come back in the
-client's own anchor frame with ``fix.anchor_indices`` mapping home.
+subset of the deployment's anchors.  Clients hearing as many anchors
+still coalesce into one batched position solve (the solve queue groups
+by anchor count, each client with its own anchor array), and each fix's
+diagnostics come back in the client's own anchor frame with
+``fix.anchor_indices`` mapping home.
 
 Run:  python examples/fleet_localization.py
 """
@@ -44,8 +45,8 @@ def multi_ap_anchor_sets() -> None:
     Five APs cover the floor, but each client only hears the three
     nearest — the per-client multi-AP regime the FTM benchmarking
     literature measures.  Both locate calls coalesce their ranging
-    into one engine flush; the two anchor-set signatures solve as two
-    batched position calls.
+    into one engine flush, and their two 3-anchor systems solve in one
+    batched position call.
     """
     import numpy as np
 
@@ -114,8 +115,8 @@ def multi_ap_anchor_sets() -> None:
         f"flush(es) for all {service.ranging.stats.n_requests} anchor links"
     )
     print(
-        f"  solve coalescing   : {stats.n_solves} batched solves "
-        f"(one per anchor-set signature)"
+        f"  solve coalescing   : {stats.n_solves} batched solve(s) "
+        f"(one per anchor count)"
     )
 
 

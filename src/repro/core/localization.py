@@ -6,7 +6,13 @@ in (generically) two points; a third non-colinear antenna — or motion —
 disambiguates.  Noisy circles rarely meet in a point, so the paper uses
 least-squares intersection, preceded by discarding distance estimates
 "that do not fit the geometry of the relative antenna placements"
-(§12.2).  All of that is implemented here.
+(§12.2).
+
+The solver itself lives in :mod:`repro.core.localization_batch`, which
+runs it for a stack of clients at once; :func:`locate_transmitter` and
+:func:`filter_geometry_consistent_detailed` are its one-client calls,
+so a client solved alone gets exactly its row of a fleet stack.  This
+module keeps the result types and the scalar geometry helpers.
 """
 
 from __future__ import annotations
@@ -148,44 +154,22 @@ def filter_geometry_consistent_detailed(
     violated hardest, the bound itself and the excess — what a serving
     layer needs to tell an operator *why* an anchor's range was
     discarded rather than just that it was.
+
+    The one-client call of
+    :func:`repro.core.localization_batch.filter_geometry_consistent_batch`.
     """
+    from repro.core.localization_batch import filter_geometry_consistent_batch
+
     if len(anchors) != len(distances_m):
         raise ValueError(
             f"got {len(anchors)} anchors but {len(distances_m)} distances"
         )
-    for d in distances_m:
-        if d < 0:
-            raise ValueError(f"distances must be non-negative, got {d}")
-    active = list(range(len(anchors)))
-    drops: list[GeometryDrop] = []
-    while len(active) > 2:
-        violation = {i: 0.0 for i in active}
-        for ii, i in enumerate(active):
-            for j in active[ii + 1 :]:
-                bound = anchors[i].distance_to(anchors[j]) + tolerance_m
-                excess = abs(distances_m[i] - distances_m[j]) - bound
-                if excess > 0:
-                    violation[i] += excess
-                    violation[j] += excess
-        worst = max(active, key=lambda i: violation[i])
-        if violation[worst] <= 0.0:
-            break
-        active.remove(worst)
-        against, worst_excess, worst_bound = active[0], -math.inf, 0.0
-        for j in active:
-            bound = anchors[worst].distance_to(anchors[j]) + tolerance_m
-            excess = abs(distances_m[worst] - distances_m[j]) - bound
-            if excess > worst_excess:
-                against, worst_excess, worst_bound = j, excess, bound
-        drops.append(
-            GeometryDrop(
-                index=worst,
-                against=against,
-                bound_m=worst_bound,
-                excess_m=worst_excess,
-            )
-        )
-    return active, tuple(drops)
+    mask, drops = filter_geometry_consistent_batch(
+        np.array([[a.x, a.y] for a in anchors], dtype=float).reshape(1, -1, 2),
+        np.asarray(distances_m, dtype=float).reshape(1, -1),
+        tolerance_m,
+    )
+    return [int(i) for i in np.flatnonzero(mask[0])], drops[0]
 
 
 def anchors_are_colinear(anchors: Sequence[Point]) -> bool:
@@ -234,80 +218,20 @@ def locate_transmitter(
         hint, the returned position is the candidate with the smaller
         residual, and both candidates are exposed for the caller to
         disambiguate (the paper's mobility strategy).
+
+    The one-client call of
+    :func:`repro.core.localization_batch.locate_transmitter_batch`: the
+    result is exactly that client's row of a stacked solve.  Distances
+    must be finite and non-negative (``ValueError`` otherwise).
     """
-    if len(anchors) < 2:
-        raise ValueError(f"need at least 2 anchors, got {len(anchors)}")
-    used, drops = filter_geometry_consistent_detailed(
-        anchors, distances_m, tolerance_m
-    )
-    sub_anchors = [anchors[i] for i in used]
-    sub_dists = [distances_m[i] for i in used]
+    from repro.core.localization_batch import locate_transmitter_batch
 
-    candidates = _candidate_seeds(sub_anchors, sub_dists)
-    if position_hint is not None:
-        candidates.sort(key=lambda p: p.distance_to(position_hint))
-
-    best: tuple[float, Point] | None = None
-    for seed in candidates:
-        refined, residual = _refine(seed, sub_anchors, sub_dists)
-        if best is None or residual < best[0] - 1e-12:
-            best = (residual, refined)
-        if position_hint is not None and best is not None:
-            break  # the hint already ordered candidates; take the nearest
-    assert best is not None
-    residual, position = best
-    return LocalizationResult(
-        position=position,
-        residual_rms_m=residual,
-        used_indices=tuple(used),
-        candidates=tuple(candidates),
-        anchors_colinear=anchors_are_colinear(sub_anchors),
-        geometry_drops=drops,
-    )
-
-
-def _candidate_seeds(anchors: Sequence[Point], dists: Sequence[float]) -> list[Point]:
-    """Seed positions: circle intersections of the widest anchor pair."""
-    pairs = [
-        (i, j)
-        for i in range(len(anchors))
-        for j in range(i + 1, len(anchors))
-    ]
-    pairs.sort(key=lambda ij: -anchors[ij[0]].distance_to(anchors[ij[1]]))
-    for i, j in pairs:
-        pts = circle_intersections(anchors[i], dists[i], anchors[j], dists[j])
-        if pts:
-            return pts
-    # Circles never intersect (inconsistent radii): fall back to the
-    # point on the line between the two widest anchors weighted by radii.
-    i, j = pairs[0]
-    a, b = anchors[i], anchors[j]
-    total = dists[i] + dists[j]
-    t = dists[i] / total if total > 0 else 0.5
-    return [a + t * (b - a)]
-
-
-def _refine(
-    seed: Point, anchors: Sequence[Point], dists: Sequence[float]
-) -> tuple[Point, float]:
-    """Nonlinear least squares from a seed; returns (position, RMS).
-
-    Runs the damped Gauss–Newton kernel of
-    :func:`repro.core.localization_batch.refine_positions_batch` as its
-    N = 1 case — one shared implementation, so scalar and batched fixes
-    follow the *same* iterate trajectory and agree to floating-point
-    noise (the kernel iterates to a ~1e-14 relative step, well past the
-    1e-9 m regression pin; the previous SciPy ``least_squares`` backend
-    stalled near its finite-difference Jacobian's ~1e-8 m noise floor).
-    """
-    from repro.core.localization_batch import refine_positions_batch
-
-    anchor_xy = np.array([[a.x, a.y] for a in anchors], dtype=float)
-    d = np.asarray(dists, dtype=float)
-    positions, rms = refine_positions_batch(
-        np.array([[seed.x, seed.y]]), anchor_xy[np.newaxis], d[np.newaxis]
-    )
-    return Point(float(positions[0, 0]), float(positions[0, 1])), float(rms[0])
+    return locate_transmitter_batch(
+        list(anchors),
+        np.asarray(distances_m, dtype=float).reshape(1, -1),
+        tolerance_m=tolerance_m,
+        position_hints=[position_hint],
+    )[0]
 
 
 def disambiguate_by_motion(

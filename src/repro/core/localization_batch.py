@@ -1,15 +1,11 @@
-"""Vectorized multi-client localization: §8 across a fleet in lockstep.
+"""The §8 solver: anchor distances to positions for a stack of clients.
 
-:func:`repro.core.localization.locate_transmitter` turns one client's
-anchor distances into a position, but it is a per-fix scalar call — a
-geometry-filter loop, a seed search and an iterative least-squares
-refinement per client.  A deployment localizing hundreds of clients per
-tick pays that per-call cost N times, which dwarfs the now-batched
-ranging path that feeds it.
-
-This module runs the same pipeline for ``N`` clients at once, mirroring
-the lockstep discipline of :func:`repro.core.sparse.invert_ndft_batch`
-and :func:`repro.core.deflation_batch._polish_batch`:
+Every position fix in the repository runs through this module.  A
+deployment localizing many clients per tick solves them in one call;
+:func:`repro.core.localization.locate_transmitter` is the one-client
+call (``N = 1``).  The lockstep discipline mirrors
+:func:`repro.core.sparse.invert_ndft_batch` and
+:func:`repro.core.deflation_batch._polish_batch`:
 
 * the §12.2 geometry-consistency filter removes each client's worst
   violator per round, all clients in one vectorized sweep, a client
@@ -17,19 +13,17 @@ and :func:`repro.core.deflation_batch._polish_batch`:
   remain);
 * candidate seeding evaluates every anchor pair's circle intersection
   for every client at once and picks each client's first intersecting
-  pair in the scalar path's widest-first order;
+  pair, widest first;
 * the refinement is a damped Gauss–Newton (Levenberg–Marquardt) descent
   advancing **all unconverged systems one step per iteration** — each
   client keeps its own damping state and freezes at convergence while
   the rest keep stepping.
 
-Per-client semantics are unchanged: the scalar ``locate_transmitter``
-drives its refinement through :func:`refine_positions_batch` as the
-N = 1 case of this kernel, and every batched decision (filter drop
-order, seed pair choice, hint ordering, candidate pick margin) uses the
-same arithmetic as the scalar path on the same values — so batched and
-scalar fixes agree to floating-point noise (the regression tests pin
-positions at 1e-9 m).
+A client's arithmetic does not depend on the rest of its stack: every
+decision (filter drop order, seed pair choice, hint ordering, candidate
+pick margin) and every refinement step is taken per row, so a client
+solved alone gets its stacked row.  ``tests/test_golden_localization.py``
+pins both against recorded fixes.
 """
 
 from __future__ import annotations
@@ -67,10 +61,8 @@ def refine_positions_batch(
     past recovery (numerically stationary).
 
     Masked-out anchors (``mask`` false) contribute exactly zero to both
-    residual and Jacobian, so a stack of systems with different anchor
-    counts pads to the widest — the padding never perturbs the live
-    arithmetic, which is how the N = 1 call from the scalar
-    ``locate_transmitter`` stays bit-for-bit on the batched trajectory.
+    residual and Jacobian, so the ranges the geometry filter dropped (or
+    any padding) never perturb the live arithmetic.
 
     Args:
         seeds: ``(M, 2)`` starting positions.
@@ -163,19 +155,26 @@ def filter_geometry_consistent_batch(
 ) -> tuple[BoolMask, list[tuple[GeometryDrop, ...]]]:
     """The §12.2 geometry filter across a stack of clients in lockstep.
 
-    Per-client semantics equal
-    :func:`repro.core.localization.filter_geometry_consistent_detailed`:
-    each round drops every still-inconsistent client's worst violator
+    Each round drops every still-inconsistent client's worst violator
     (summed positive excess over active pairs, first index winning
     ties), a client freezing once its worst violation is non-positive
     or only two estimates remain.
+    :func:`repro.core.localization.filter_geometry_consistent_detailed`
+    is its one-client call.
 
-    Returns the ``(N, K)`` keep-mask and one drop-diagnostics tuple per
-    client.
+    Takes ``(N, K, 2)`` anchors and ``(N, K)`` distances; returns the
+    ``(N, K)`` keep-mask and one drop-diagnostics tuple per client.
     """
     A = np.asarray(anchor_xy, dtype=float)
     D = np.asarray(dists_m, dtype=float)
+    if D.ndim != 2 or A.shape != (*D.shape, 2):
+        raise ValueError(
+            f"anchors must be (N, K, 2) and distances (N, K), "
+            f"got anchors {A.shape} and distances {D.shape}"
+        )
     n_clients, n_anchors = D.shape
+    if not np.isfinite(D).all():
+        raise ValueError("distances must be finite")
     if (D < 0).any():
         bad = D[D < 0].flat[0]
         raise ValueError(f"distances must be non-negative, got {bad}")
@@ -226,11 +225,9 @@ def locate_transmitter_batch(
 ) -> list[LocalizationResult]:
     """Least-squares positions for a stack of clients at once (§8).
 
-    The batched counterpart of
-    :func:`repro.core.localization.locate_transmitter`: one
-    :class:`LocalizationResult` per row of ``distances_m``, each equal
-    (to floating-point noise; the tests pin 1e-9 m) to what the scalar
-    solver returns for that client alone.
+    One :class:`LocalizationResult` per row of ``distances_m``.
+    :func:`repro.core.localization.locate_transmitter` is the one-client
+    call, and a client's row does not depend on the rest of the stack.
 
     Args:
         anchors: Either one shared anchor layout — a sequence of
@@ -243,7 +240,7 @@ def locate_transmitter_batch(
         tolerance_m: Slack for the geometry-consistency filter.
         position_hints: Optional per-client priors (``None`` entries
             allowed): a hinted client refines only the candidate
-            nearest its hint, exactly like the scalar path.
+            nearest its hint.
 
     Returns:
         One :class:`LocalizationResult` per client, in row order.
@@ -259,8 +256,6 @@ def locate_transmitter_batch(
         )
     if n_anchors < 2:
         raise ValueError(f"need at least 2 anchors, got {n_anchors}")
-    if not np.isfinite(D).all():
-        raise ValueError("distances must be finite")
     if not np.isfinite(A).all():
         raise ValueError("anchor positions must be finite")
     if position_hints is not None and len(position_hints) != n_clients:
@@ -282,7 +277,7 @@ def locate_transmitter_batch(
                 has_hint[n] = True
                 hx[n], hy[n] = hint.x, hint.y
         # Stable hint ordering: swap only when the second candidate is
-        # strictly nearer, matching the scalar path's list.sort.
+        # strictly nearer.
         d1 = np.hypot(c1[:, 0] - hx, c1[:, 1] - hy)
         d2 = np.hypot(c2[:, 0] - hx, c2[:, 1] - hy)
         swap = has_hint & two & (d2 < d1)
@@ -290,7 +285,7 @@ def locate_transmitter_batch(
 
     # A hinted client refines only its nearest candidate; an unhinted
     # two-candidate client refines both and keeps the smaller residual
-    # (first candidate winning ties within the scalar 1e-12 margin).
+    # (first candidate winning ties within a 1e-12 margin).
     second = np.flatnonzero(two & ~has_hint)
     positions, rms = refine_positions_batch(
         np.concatenate([c1, c2[second]], axis=0),
@@ -361,7 +356,7 @@ def _as_anchor_stack(
 
 
 def _pair_index_arrays(n_anchors: int) -> tuple[np.ndarray, np.ndarray]:
-    """All ``i < j`` index pairs, in the scalar path's enumeration order."""
+    """All ``i < j`` index pairs, row-major (``(0, 1), (0, 2), …``)."""
     ii, jj = np.triu_indices(n_anchors, k=1)
     return ii, jj
 
@@ -374,13 +369,13 @@ def _pair_index_arrays(n_anchors: int) -> tuple[np.ndarray, np.ndarray]:
 def _candidate_seeds_batch(
     A: FloatGrid, D: FloatGrid, mask: BoolMask
 ) -> tuple[FloatGrid, FloatGrid, BoolMask, IndexVector]:
-    """Vectorized mirror of ``localization._candidate_seeds``.
+    """Seed positions: circle intersections of each client's widest pair.
 
     For each client: anchor pairs restricted to the kept subset are
-    visited widest-first (ties in ``(i, j)`` order, matching the scalar
-    stable sort); the first pair whose circles intersect provides one
-    or two seeds, and a client whose circles never meet falls back to
-    the radius-weighted point on its widest kept pair's segment.
+    visited widest-first (ties in ``(i, j)`` order); the first pair
+    whose circles intersect provides one or two seeds, and a client
+    whose circles never meet falls back to the radius-weighted point on
+    its widest kept pair's segment.
 
     Returns ``(c1, c2, two, widest)``: the first and second candidate
     coordinates, a mask of clients that actually have two, and the

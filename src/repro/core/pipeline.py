@@ -319,8 +319,9 @@ class ChronosPair:
         This method serves *one* pair; a deployment localizing many
         clients per tick should solve their circle systems together
         through :func:`repro.core.localization_batch.locate_transmitter_batch`
-        (one lockstep refinement for the whole fleet — same fixes to
-        1e-9 m), or stream sweeps through
+        (one lockstep refinement for the whole fleet; the
+        :func:`~repro.core.localization.locate_transmitter` call here is
+        its one-client case, with the same fix), or stream sweeps through
         :class:`repro.loc.service.LocalizationService`, which batches
         both the anchor ranging and the position solves.
         """

@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.core.batch import BatchTofEngine
 from repro.core.cfo import LinkCalibration
-from repro.core.localization import locate_transmitter
 from repro.core.pipeline import ChronosDevice, ChronosPair, triangle_array
 from repro.core.tof import TofEstimate, TofEstimator, TofEstimatorConfig
 from repro.experiments.testbed import Testbed, office_testbed
@@ -358,16 +357,16 @@ def run_fleet_localization_experiment(
     filter and the position tracks' innovation gating end to end.
 
     The point of the exercise is the coalescing: all of a tick's
-    anchor links land in one micro-batch flush, and clients sharing an
-    anchor set solve their circle systems through one batched call —
-    the counters in the result pin both.
+    anchor links land in one micro-batch flush, and clients with as
+    many usable anchors solve their circle systems through one batched
+    call — the counters in the result pin both.
 
     ``anchors_per_client`` opts into the multi-AP regime: each client
     hears only a fixed random subset of that many anchors and its
     ``locate`` calls name the subset via request-level
-    ``anchor_indices``.  Clients sharing a subset still coalesce into
-    one batched position solve (the queue groups by anchor-set
-    signature); ``None`` keeps the every-client-hears-every-anchor
+    ``anchor_indices``.  Clients on different subsets of one size still
+    coalesce into one batched position solve (the queue groups by
+    anchor count); ``None`` keeps the every-client-hears-every-anchor
     default.
     """
     import asyncio
@@ -420,8 +419,7 @@ def run_fleet_localization_experiment(
     client_ids = [f"client-{i}" for i in range(n_clients)]
     index = {cid: i for i, cid in enumerate(client_ids)}
     # Each client's anchor set: the whole deployment by default, or a
-    # fixed random subset in the multi-AP regime.  Sorted, so clients
-    # drawing the same subset share a solve-queue signature.
+    # fixed random subset (in deployment order) in the multi-AP regime.
     if anchors_per_client is None:
         anchor_sets = {cid: tuple(range(n_anchors)) for cid in client_ids}
     else:

@@ -19,10 +19,9 @@ resolving the fix through the batched position solver:
 * **coalesced solving** — when a client's ranges resolve, its circle
   system parks on a pending-solve queue; a ``call_soon`` flush batches
   every system that resolved in the same scheduling round through
-  :func:`~repro.core.localization_batch.locate_transmitter_batch`
-  (grouped by anchor-set signature, the way the ranging service groups
-  by band plan — clients sharing a signature solve over one shared
-  anchor array).
+  :func:`~repro.core.localization_batch.locate_transmitter_batch`, one
+  call per anchor count (each client keeps its own anchor array), and
+  every call of the flush runs in one hop to the solve worker.
 * **per-client isolation** — a failed anchor range drops that anchor
   (the fix degrades gracefully down to 2 anchors); a client whose
   system still cannot be solved gets an error-carrying
@@ -51,14 +50,7 @@ from repro.core.localization import GeometryDrop, LocalizationResult, locate_tra
 from repro.core.localization_batch import locate_transmitter_batch
 from repro.core.tof import TofEstimatorConfig
 from repro.net.service import ISOLATED_LINK_ERRORS, RangingRequest
-from repro.obs import (
-    COUNT_BUCKETS,
-    REGISTRY,
-    ObsServer,
-    SpanContext,
-    timed_span,
-    trace,
-)
+from repro.obs import COUNT_BUCKETS, REGISTRY, SpanContext, timed_span, trace
 from repro.rf.geometry import Point
 from repro.stream.service import (
     StreamConfig,
@@ -73,45 +65,10 @@ class LocConfig:
     """Policy of the localization front end.
 
     Attributes:
-        solve_wait_s: Coalescing window for position solves.  ``0``
-            (default) flushes on the next event-loop tick, which still
-            batches every system whose ranges resolved in the same
-            scheduling round — the common case, since the ranging layer
-            resolves a whole flush's futures together.
-        max_solve_clients: Flush the solve queue once this many systems
-            are pending.
         tolerance_m: Slack for the §12.2 geometry-consistency filter.
-        min_ok_anchors: Fewest usable anchor ranges a client may have
-            before its fix fails outright (the solver needs 2).
-        serve_port: Start an embedded telemetry endpoint
-            (:class:`repro.obs.ObsServer`: ``/metrics``, ``/health``,
-            ``/traces``) on this localhost port when the service is
-            constructed; ``0`` binds an ephemeral port (read it back
-            from ``service.obs_server.port``), ``None`` (default) runs
-            no server.  The service stops it on ``close()``.
     """
 
-    solve_wait_s: float = 0.0
-    max_solve_clients: int = 1024
     tolerance_m: float = 0.3
-    min_ok_anchors: int = 2
-    serve_port: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.solve_wait_s < 0:
-            raise ValueError(f"solve_wait_s must be >= 0, got {self.solve_wait_s}")
-        if self.max_solve_clients < 1:
-            raise ValueError(
-                f"max_solve_clients must be >= 1, got {self.max_solve_clients}"
-            )
-        if self.min_ok_anchors < 2:
-            raise ValueError(
-                f"min_ok_anchors must be >= 2, got {self.min_ok_anchors}"
-            )
-        if self.serve_port is not None and not 0 <= self.serve_port <= 65535:
-            raise ValueError(
-                f"serve_port must be in [0, 65535], got {self.serve_port}"
-            )
 
 
 @dataclass(frozen=True)
@@ -182,19 +139,12 @@ class LocStats:
 
 @dataclass
 class _PendingSolve:
-    """One client's resolved circle system awaiting the batched solver.
-
-    ``signature`` is the tuple of deployment anchor indices behind
-    ``anchor_xy`` — the solve queue's grouping key.  Clients sharing a
-    signature share identical anchor geometry, so their systems stack
-    into one batched call over a single shared anchor array.
-    """
+    """One client's resolved circle system awaiting the batched solver."""
 
     client_id: str
     anchor_xy: list[Point]
     distances: list[float]
     hint: Point | None
-    signature: tuple[int, ...]
     future: asyncio.Future = field(repr=False)
     # The parking client's locate-span context: the batched solve's
     # span parents under its group's first client, stitching the solve
@@ -219,7 +169,7 @@ class LocalizationService:
             ``config``/``stream``.  Sharing one backend between the
             fleet service and direct ranging callers coalesces
             everything into the same flushes.
-        loc: Localization policy (solve coalescing, geometry slack).
+        loc: Localization policy (the geometry filter's slack).
         trackers: Optional position-track bank.  When present, fixes
             with a timestamp update the client's track and the track's
             predicted position seeds candidate disambiguation.
@@ -243,7 +193,7 @@ class LocalizationService:
         self.loc_config = loc or LocConfig()
         self.trackers = trackers
         self._pending: list[_PendingSolve] = []
-        self._solve_handle: asyncio.TimerHandle | asyncio.Handle | None = None
+        self._solve_handle: asyncio.Handle | None = None
         self._solve_loop: asyncio.AbstractEventLoop | None = None
         self._stats = LocStats()
         # Lazily-created size-1 worker the position solves run on.
@@ -252,12 +202,6 @@ class LocalizationService:
         # loop free, not solver parallelism.
         self._solve_executor: ThreadPoolExecutor | None = None
         self._inflight: set[asyncio.Task] = set()
-        # Embedded telemetry endpoint, config-gated; stopped by close().
-        self.obs_server: ObsServer | None = None
-        if self.loc_config.serve_port is not None:
-            self.obs_server = ObsServer(
-                port=self.loc_config.serve_port
-            ).start()
 
     # ------------------------------------------------------------------
     # Public API
@@ -368,7 +312,7 @@ class LocalizationService:
             "loc.fanout_links", float(len(requests)), buckets=COUNT_BUCKETS
         )
         responses = await asyncio.gather(
-            *(self._submit_one(request) for request in requests)
+            *(self.ranging.submit(request) for request in requests)
         )
         # From here on, indices are in the client's anchor frame:
         # position j refers to requests[j] / client_anchors[j].
@@ -390,7 +334,7 @@ class LocalizationService:
                     response.error or "non-finite distance estimate"
                 )
         n_range_failures = len(responses) - len(ok_indices)
-        if len(ok_indices) < self.loc_config.min_ok_anchors:
+        if len(ok_indices) < 2:
             return self._fail(
                 client_id,
                 anchor_errors,
@@ -398,7 +342,7 @@ class LocalizationService:
                 client_anchor_indices,
                 error=(
                     f"only {len(ok_indices)} of {len(client_anchor_indices)} "
-                    f"anchors ranged (need {self.loc_config.min_ok_anchors})"
+                    "anchors ranged (need 2)"
                 ),
             )
 
@@ -410,7 +354,6 @@ class LocalizationService:
             [client_anchors[i] for i in ok_indices],
             ok_distances_m,
             hint,
-            signature=tuple(client_anchor_indices[i] for i in ok_indices),
         )
         if result is None:
             return self._fail(
@@ -499,53 +442,33 @@ class LocalizationService:
         executor, self._solve_executor = self._solve_executor, None
         if executor is not None:
             executor.shutdown(wait=False)
-        if self.obs_server is not None:
-            self.obs_server.stop()
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _submit_one(self, request: RangingRequest | SweepRequest):
-        return self.ranging.submit(request)
-
     async def _solve(
         self,
         client_id: str,
         anchor_xy: list[Point],
         distances: list[float],
         hint: Point | None,
-        signature: tuple[int, ...],
     ) -> tuple[LocalizationResult | None, str | None]:
         """Park the circle system and await the coalesced batched solve."""
         loop = asyncio.get_running_loop()
         if self._solve_handle is not None and self._solve_loop is not loop:
-            # A previous loop died with the solve timer still scheduled;
+            # A previous loop died with the solve flush still scheduled;
             # forget it so this loop gets its own (same recovery as the
             # streaming flush timer).
             self._solve_handle = None
         future: asyncio.Future = loop.create_future()
         self._pending.append(
             _PendingSolve(
-                client_id,
-                anchor_xy,
-                distances,
-                hint,
-                signature,
-                future,
-                ctx=trace.current(),
+                client_id, anchor_xy, distances, hint, future, ctx=trace.current()
             )
         )
         self._solve_loop = loop
-        if len(self._pending) >= self.loc_config.max_solve_clients:
-            self._cancel_scheduled_solve()
+        if self._solve_handle is None:
             self._solve_handle = loop.call_soon(self._flush_solves)
-        elif self._solve_handle is None:
-            if self.loc_config.solve_wait_s <= 0:
-                self._solve_handle = loop.call_soon(self._flush_solves)
-            else:
-                self._solve_handle = loop.call_later(
-                    self.loc_config.solve_wait_s, self._flush_solves
-                )
         return await future
 
     def _cancel_scheduled_solve(self) -> None:
@@ -554,22 +477,20 @@ class LocalizationService:
             self._solve_handle = None
 
     def _flush_solves(self) -> None:
-        """Solve every parked circle system, one batched call per signature.
+        """Solve every parked circle system, one batched call per anchor count.
 
         Runs as a loop callback, so every system parked in the current
         scheduling round (typically: all clients whose ranges resolved
         from one engine flush) solves together.  Systems are grouped by
-        anchor-set signature — clients on the same usable anchors share
-        identical geometry, so the batched solver runs in lockstep over
-        one shared anchor array (a strict refinement of the old
-        anchor-count grouping, which request-level anchor sets made
-        ambiguous) — and a degenerate system is retried alone so its
-        group survives.
+        usable anchor count, the one shape the batched solver needs to
+        share; each client passes its own anchor array, so clients on
+        different anchor subsets stack into one call.  A degenerate
+        system is retried alone so its group survives.
 
-        The solver calls run on the solve worker and only their
-        *results* come back to the loop to resolve futures, so a
-        fleet-sized least-squares tick does not freeze the loop (and
-        every ranging timer on it) for its duration.
+        Every call of the flush runs in one hop to the solve worker and
+        only their *results* come back to the loop to resolve futures,
+        so a fleet-sized least-squares tick does not freeze the loop
+        (and every ranging timer on it) for its duration.
         """
         self._solve_handle = None
         pending = [
@@ -580,18 +501,19 @@ class LocalizationService:
         self._pending = []
         if not pending:
             return
-        by_signature: dict[tuple[int, ...], list[_PendingSolve]] = {}
+        by_count: dict[int, list[_PendingSolve]] = {}
         for p in pending:
-            by_signature.setdefault(p.signature, []).append(p)
+            by_count.setdefault(len(p.anchor_xy), []).append(p)
         task = asyncio.get_running_loop().create_task(
-            self._run_solves(list(by_signature.values()))
+            self._run_solves(list(by_count.values()))
         )
         self._inflight.add(task)
         task.add_done_callback(self._inflight.discard)
 
     async def _run_solves(self, groups: list[list[_PendingSolve]]) -> None:
-        """Flush body: solve on the worker, resolve on the loop.
+        """Flush body: solve every group on the worker, resolve on the loop.
 
+        All groups go to the worker in one ``run_in_executor`` call.
         Futures are resolved only after the ``await`` (on the loop —
         ``Future.set_result`` is not thread-safe), and the stats update
         runs loop-serialized after the last group lands, the same
@@ -602,12 +524,13 @@ class LocalizationService:
             self._solve_executor = ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix="loc-solve"
             )
+        solved = await loop.run_in_executor(
+            self._solve_executor,
+            lambda: [self._solve_group_safe(group) for group in groups],
+        )
         n_solves = 0
         largest = 0
-        for group in groups:
-            outcomes, error, batched = await loop.run_in_executor(
-                self._solve_executor, self._solve_group_safe, group
-            )
+        for group, (outcomes, error, batched) in zip(groups, solved, strict=True):
             self._resolve_group(group, outcomes, error)
             # One solve per solver call actually made: a group that fell
             # back to per-client retries counts each retry.  Fixes and
@@ -623,14 +546,12 @@ class LocalizationService:
         Exception | None,
         bool,
     ]:
-        """Solve one shared-signature group; pure compute, no futures.
+        """Solve one same-anchor-count group; pure compute, no futures.
 
         Returns ``(outcomes, fatal_error, batched)``.  Runs on the solve
         worker: it touches no loop or service state, so the caller
-        resolves futures (and bumps stats) on the loop.  All
-        members share one anchor geometry (that is what the signature
-        means), so the anchors pass to the batched solver once, as a
-        shared array.
+        resolves futures (and bumps stats) on the loop.  Each member
+        passes its own anchor array to the batched solver.
 
         The solve span parents under the group's first client's locate
         span explicitly: contextvars do not cross ``run_in_executor``.
@@ -645,7 +566,7 @@ class LocalizationService:
             try:
                 try:
                     results = locate_transmitter_batch(
-                        group[0].anchor_xy,
+                        [p.anchor_xy for p in group],
                         np.array([p.distances for p in group], dtype=float),
                         tolerance_m=self.loc_config.tolerance_m,
                         position_hints=[p.hint for p in group],

@@ -19,7 +19,7 @@ On top of that substrate sits the consumption layer:
   registry windows by a :class:`HealthMonitor`;
 * :mod:`repro.obs.server` — the live ``/metrics`` + ``/health`` +
   ``/traces`` HTTP endpoint (:class:`ObsServer`), embeddable via
-  ``StreamConfig(serve_port=...)`` / ``LocConfig(serve_port=...)``;
+  ``StreamConfig(serve_port=...)``;
 * :func:`report` — one aggregate: the health verdict plus each passed
   layer's ``report()``.
 

@@ -16,8 +16,8 @@ dependencies, matching the repo's constraint):
   (``?limit=N`` caps the count, newest kept);
 * ``GET /`` — a route index.
 
-Start one embedded via ``StreamConfig(serve_port=...)`` /
-``LocConfig(serve_port=...)`` (the owning service stops it on
+Start one embedded via ``StreamConfig(serve_port=...)`` (the owning
+streaming service, or the localization service over it, stops it on
 ``close()``), standalone via :func:`serve` / ``python -m repro.obs
 serve``, or in a test with ``ObsServer(port=0)`` (ephemeral port,
 ``.port`` reports the bound one).  Handlers run on daemon threads and

@@ -195,6 +195,8 @@ class TestGeometryFilter:
             filter_geometry_consistent(self.ANCHORS, [1.0, 2.0])
         with pytest.raises(ValueError):
             filter_geometry_consistent(self.ANCHORS, [1.0, -2.0, 3.0])
+        with pytest.raises(ValueError, match="finite"):
+            filter_geometry_consistent(self.ANCHORS, [1.0, math.nan, 3.0])
 
     def test_detailed_filter_reports_violated_bound(self):
         target = Point(3, 4)

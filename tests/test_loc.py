@@ -1,13 +1,13 @@
 """The fleet localization subsystem: batched solver, service, tracks.
 
-The contract under test: ``locate_transmitter_batch`` returns the same
-fix as the scalar ``locate_transmitter`` for every client (≤ 1e-9 m —
-they share the damped Gauss–Newton kernel, so in practice they agree to
-float noise), concurrent ``locate`` calls coalesce their anchor ranging
-into single engine flushes and their circle systems into single batched
-solves, a poisoned anchor or an unsolvable client fails alone, and the
-position tracks reject teleporting fixes and disambiguate mirror
-candidates for colinear-anchor deployments.
+The contract under test: ``locate_transmitter`` is the one-client call
+of ``locate_transmitter_batch``, so a client solved alone gets its row
+of a stacked solve; concurrent ``locate`` calls coalesce their anchor
+ranging into single engine flushes and their circle systems into one
+batched solve per anchor count, all in one hop to the solve worker; a
+poisoned anchor or an unsolvable client fails alone, and the position
+tracks reject teleporting fixes and disambiguate mirror candidates for
+colinear-anchor deployments.
 """
 
 import asyncio
@@ -66,8 +66,9 @@ def anchor_products(position: Point, anchors, rng, noise=0.02):
 
 class TestBatchEquivalence:
     def test_batch_matches_scalar_everywhere(self, rng):
-        """Noisy fleets with outliers and hints: batched == scalar fixes
-        at 1e-9 m, identical filter decisions and diagnostics."""
+        """Noisy fleets with outliers and hints: the stack equals the
+        one-client call row by row (pinned at 1e-9 m), with identical
+        filter decisions and diagnostics."""
         anchors = ANCHORS
         n_clients = 60
         distances = np.empty((n_clients, len(anchors)))
@@ -143,6 +144,19 @@ class TestBatchEquivalence:
             locate_transmitter_batch(
                 [[Point(0, 0), Point(1, 0)], [Point(0, 0)]], np.ones((2, 2))
             )
+        # The filter wants (N, K, 2) anchors with (N, K) distances and
+        # names both shapes otherwise.
+        for anchor_shape, dist_shape in (
+            ((1, 1, 2), (1, 3)),
+            ((2, 3, 2), (1, 3)),
+            ((1, 3, 2), (1, 2)),
+        ):
+            with pytest.raises(ValueError) as excinfo:
+                filter_geometry_consistent_batch(
+                    np.zeros(anchor_shape), np.ones(dist_shape)
+                )
+            assert str(anchor_shape) in str(excinfo.value)
+            assert str(dist_shape) in str(excinfo.value)
 
     def test_geometry_filter_batch_reports_violated_bounds(self):
         anchors = np.array([[[0.0, 0.0], [1.0, 0.0], [0.5, 0.8]]])
@@ -579,12 +593,6 @@ class TestLocalizationService:
     def test_validation(self, make_loc_service):
         with pytest.raises(ValueError):
             LocalizationService([Point(0, 0)])
-        with pytest.raises(ValueError):
-            LocConfig(solve_wait_s=-1.0)
-        with pytest.raises(ValueError):
-            LocConfig(max_solve_clients=0)
-        with pytest.raises(ValueError):
-            LocConfig(min_ok_anchors=1)
         service = make_loc_service(ANCHORS, config=FAST_CONFIG)
 
         async def run():
@@ -643,8 +651,8 @@ class TestRequestLevelAnchorSets:
         assert len(sub_fix.distances_m) == 3
 
     def test_clients_sharing_a_signature_coalesce(self, rng, make_loc_service):
-        """Two clients on one subset batch into one solve; a third on a
-        different subset solves separately — but all in one flush."""
+        """Two clients on one subset and a third on another subset of
+        the same size batch into one solve, with per-client anchors."""
         service = make_loc_service(self.ANCHORS5, config=FAST_CONFIG)
         set_a, set_b = (0, 1, 2), (1, 3, 4)
         truths = {
@@ -671,12 +679,60 @@ class TestRequestLevelAnchorSets:
             assert fix.ok
             assert fix.position.distance_to(truths[fix.client_id]) < 0.3
             assert fix.anchor_indices == subsets[fix.client_id]
-        # One micro-batch flush for all 3 × 3 anchor links; two batched
-        # solves — one per anchor-set signature.
+        # One micro-batch flush for all 3 × 3 anchor links; one batched
+        # solve, since every client has three usable anchors.
         assert service.ranging.stats.n_flushes == 1
         assert service.ranging.stats.largest_flush == 9
+        assert service.stats.n_solves == 1
+        assert service.stats.largest_solve == 3
+
+    def test_one_solve_hop_per_flush_across_anchor_counts(
+        self, rng, monkeypatch, make_loc_service
+    ):
+        """Two 3-anchor clients on different subsets and one 4-anchor
+        client: one batched solve per anchor count, and both solves
+        reach the solve worker in a single executor submit."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        import repro.loc.service as loc_service
+
+        submits = []
+
+        class CountingPool(ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                submits.append(fn)
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(loc_service, "ThreadPoolExecutor", CountingPool)
+        service = make_loc_service(self.ANCHORS5, config=FAST_CONFIG)
+        subsets = {"a": (0, 1, 2), "b": (1, 3, 4), "c": (0, 1, 2, 3)}
+        truths = {
+            "a": Point(2.0, 3.0),
+            "b": Point(4.0, 6.0),
+            "c": Point(7.0, 5.0),
+        }
+
+        async def run():
+            return await asyncio.gather(
+                *(
+                    service.locate(
+                        cid,
+                        self._requests(cid, truths[cid], subsets[cid], rng),
+                        anchor_indices=subsets[cid],
+                    )
+                    for cid in truths
+                )
+            )
+
+        fixes = asyncio.run(run())
+        for fix in fixes:
+            assert fix.ok
+            assert fix.position.distance_to(truths[fix.client_id]) < 0.3
+            assert fix.anchor_indices == subsets[fix.client_id]
+        assert service.ranging.stats.n_flushes == 1
         assert service.stats.n_solves == 2
         assert service.stats.largest_solve == 2
+        assert len(submits) == 1
 
     def test_subset_diagnostics_stay_in_client_frame(self, rng, make_loc_service):
         """A ghosted range inside a subset is reported at the client's

@@ -433,20 +433,22 @@ class TestObsServer:
         assert not streaming.obs_server.running
 
     def test_loc_config_serve_port_wires_an_endpoint(self, make_loc_service):
-        from repro.loc.service import LocConfig
+        """The loc service's endpoint is its ranging stream's: one option,
+        ``StreamConfig(serve_port=...)``, serving the process registry."""
         from repro.rf.geometry import Point
 
         service = make_loc_service(
             [Point(0.0, 0.0), Point(10.0, 0.0)],
             FAST_CONFIG,
-            loc=LocConfig(serve_port=0),
+            stream=StreamConfig(serve_port=0),
         )
-        assert service.obs_server is not None
-        status, body = http_get(service.obs_server.url + "/health")
+        server = service.ranging.obs_server
+        assert server is not None
+        status, body = http_get(server.url + "/health")
         assert status == 200
         assert "slos" in json.loads(body)
         service.close()
-        assert not service.obs_server.running
+        assert not server.running
 
     def test_serve_port_validation(self):
         with pytest.raises(ValueError):

@@ -20,7 +20,8 @@ would alias a naive unwrap.  We therefore:
    parts), and evaluate at subcarrier 0.  The not-a-knot spline is
    linear in its data, so for a fixed subcarrier layout its value at 0
    is a fixed linear functional ``detrended @ w`` of the detrended CSI;
-   the weights ``w`` are computed once per layout and cached.
+   the weights ``w`` come from one numpy solve of the not-a-knot slope
+   system that ``CubicSpline`` solves, once per layout, and are cached.
 
 Step 3 on the de-trended *complex* values is numerically equivalent to
 the paper's magnitude/phase spline but immune to phase-wrap artifacts at
@@ -39,7 +40,6 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from repro.core.typing import ComplexCSI, ComplexCSIStack, FloatVector
 from repro.wifi.csi import BandCsi, LinkCsi
@@ -116,12 +116,64 @@ def _row_slopes(rows: ComplexCSIStack, idx: FloatVector) -> FloatVector:
 def _spline_weights(subcarriers: tuple[int, ...]) -> FloatVector:
     """``w`` with ``CubicSpline(subcarriers, y)(0.0) == y @ w`` for all ``y``.
 
-    Built through ``CubicSpline`` itself, so a layout scipy rejects (not
-    strictly increasing, non-finite, fewer than two indices) still
-    fails.  Every thread shares the cached array, hence read-only.
+    Solves the not-a-knot system for the knot slopes of the identity
+    data (column ``j`` is the spline through the ``j``-th unit vector),
+    then evaluates the cubic piece that holds 0, or an end piece when 0
+    lies outside the layout, as ``CubicSpline`` extrapolates.  Two
+    subcarriers give the line and three the parabola, as in
+    ``CubicSpline``.  A layout ``CubicSpline`` rejects (not 1-D, fewer
+    than two entries, non-finite, not strictly increasing) raises a
+    ``ValueError`` naming it.  Every thread shares the cached array,
+    hence read-only.
     """
     idx = np.asarray(subcarriers, dtype=float)
-    weights = CubicSpline(idx, np.eye(len(idx)))(0.0)
+    if (
+        idx.ndim != 1
+        or len(idx) < 2
+        or not (np.isfinite(idx).all() and (np.diff(idx) > 0).all())
+    ):
+        raise ValueError(
+            "a spline needs a 1-D, finite, strictly increasing layout of "
+            f"at least two subcarriers, got {subcarriers}"
+        )
+    n = len(idx)
+    h = np.diff(idx)
+    delta = np.diff(np.eye(n), axis=0) / h[:, None]  # piece slopes, per y
+    a = np.zeros((n, n))
+    rhs = np.empty((n, n))
+    # Interior rows: h[i]·s[i-1] + 2(h[i-1] + h[i])·s[i] + h[i-1]·s[i+1]
+    # = 3(h[i]·δ[i-1] + h[i-1]·δ[i]).
+    inner = np.arange(1, n - 1)
+    a[inner, inner - 1] = h[1:]
+    a[inner, inner] = 2.0 * (h[:-1] + h[1:])
+    a[inner, inner + 1] = h[:-1]
+    rhs[1:-1] = 3.0 * (h[1:, None] * delta[:-1] + h[:-1, None] * delta[1:])
+    if n == 2:  # the line
+        a[0, 0] = a[1, 1] = 1.0
+        rhs[0] = rhs[1] = delta[0]
+    elif n == 3:  # the parabola
+        a[0, :2] = a[2, 1:] = 1.0
+        rhs[0], rhs[2] = 2.0 * delta[0], 2.0 * delta[1]
+    else:  # not-a-knot: each pair of end pieces is one cubic
+        d = idx[2] - idx[0]
+        a[0, :2] = h[1], d
+        rhs[0] = ((h[0] + 2.0 * d) * h[1] * delta[0] + h[0] ** 2 * delta[1]) / d
+        d = idx[-1] - idx[-3]
+        a[-1, -2:] = d, h[-2]
+        rhs[-1] = (
+            h[-1] ** 2 * delta[-2] + (2.0 * d + h[-1]) * h[-2] * delta[-1]
+        ) / d
+    s = np.linalg.solve(a, rhs)
+    # Piece k holds 0 (clipped to an end piece), t is 0's offset in it,
+    # and the Hermite cubic of its end values and slopes is summed
+    # constant term first, as ``CubicSpline`` evaluates it.
+    k = min(max(int(np.searchsorted(idx, 0.0, side="right")) - 1, 0), n - 2)
+    t = -idx[k]
+    cubic = (s[k] + s[k + 1] - 2.0 * delta[k]) / h[k]
+    quadratic = (delta[k] - s[k]) / h[k] - cubic
+    weights = (
+        np.eye(n)[k] + s[k] * t + quadratic * (t * t) + cubic / h[k] * (t * t * t)
+    )
     weights.setflags(write=False)
     return weights
 

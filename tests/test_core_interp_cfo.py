@@ -1,6 +1,10 @@
 """Zero-subcarrier interpolation (§5) and CFO reciprocity handling (§7)."""
 
+import math
 import re
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from scipy.interpolate import CubicSpline
 
 from repro.core.cfo import LinkCalibration, band_products
 from repro.core.interpolation import (
+    _spline_weights,
     group_delay_s,
     phase_slope_per_index,
     round_trip_slope_delay_s,
@@ -199,6 +204,68 @@ class TestStackedFrontEnd:
                 BandCsi(band=BAND, csi=row, subcarriers=layout), power
             )
             assert abs(got - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            INTEL5300_SUBCARRIERS_20MHZ,
+            DATA_SUBCARRIERS_20MHZ,
+            (-1, 2),
+            (-3, 1, 4),
+            (-5, -2, 1, 3),
+            tuple(k for k in INTEL5300_SUBCARRIERS_20MHZ if k > 0),
+            (-26, -17, -9, -4, 2, 7, 15, 28),
+        ],
+        ids=["intel5300", "ht20", "n2", "n3", "n4", "extrapolated", "irregular"],
+    )
+    def test_spline_weights_are_the_identity_splines_at_zero(self, layout):
+        """The numpy not-a-knot solve against scipy's spline of each
+        unit vector: the line, the parabola, the smallest not-a-knot
+        system, an end piece extrapolated to 0 and uneven gaps."""
+        idx = np.asarray(layout, dtype=float)
+        want = CubicSpline(idx, np.eye(len(idx)))(0.0)
+        np.testing.assert_allclose(_spline_weights(layout), want, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "layout",
+        [(1, 1, 2), (2, 1), (0, math.nan), (3,), ((0, 1), (2, 3))],
+        ids=["repeated", "decreasing", "non-finite", "one", "2-d"],
+    )
+    def test_spline_weights_reject_what_scipy_rejects(self, layout):
+        with pytest.raises(ValueError):
+            CubicSpline(np.asarray(layout, dtype=float), np.eye(2))
+        with pytest.raises(ValueError, match=re.escape(str(layout))):
+            _spline_weights(layout)
+
+    def test_serving_stack_runs_the_front_end_without_scipy(self):
+        """Importing the four serving packages and building an Intel
+        5300 sweep's band products loads no scipy module."""
+        script = textwrap.dedent(
+            """
+            import sys
+
+            import numpy as np
+
+            import repro.core, repro.net, repro.stream, repro.loc
+            from repro.core.cfo import band_products
+            from repro.wifi.bands import Band
+            from repro.wifi.csi import BandCsi, CsiSweep, LinkCsi
+
+            rows = np.random.default_rng(0).normal(size=(2, 30)) + 0j
+            band = Band(36, 5.18e9)
+            pair = LinkCsi(
+                forward=BandCsi(band=band, csi=rows[0]),
+                reverse=BandCsi(band=band, csi=rows[1], timestamp_s=2e-5),
+            )
+            band_products(CsiSweep([pair]))
+            print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     @LAYOUTS
     def test_row_slopes_are_one_row_calls_bit_for_bit(self, rng, layout):

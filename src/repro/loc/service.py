@@ -321,18 +321,21 @@ class LocalizationService:
         ok_distances_m: list[float] = []  # parallel to ok_indices
         for idx, response in enumerate(responses):
             estimate = response.estimate
-            if (
-                response.ok
-                and estimate is not None
-                and math.isfinite(estimate.distance_m)
-            ):
-                anchor_errors.append(None)
-                ok_indices.append(idx)
-                ok_distances_m.append(estimate.distance_m)
-            else:
+            distance_m = math.nan if estimate is None else estimate.distance_m
+            if not response.ok or not math.isfinite(distance_m):
                 anchor_errors.append(
                     response.error or "non-finite distance estimate"
                 )
+            elif distance_m < 0.0:
+                # A calibration bias larger than the link's ToF: no
+                # circle to intersect, so the anchor drops like a NaN.
+                anchor_errors.append(
+                    f"negative distance estimate ({distance_m:.2f} m)"
+                )
+            else:
+                anchor_errors.append(None)
+                ok_indices.append(idx)
+                ok_distances_m.append(distance_m)
         n_range_failures = len(responses) - len(ok_indices)
         if len(ok_indices) < 2:
             return self._fail(

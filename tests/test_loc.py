@@ -12,11 +12,13 @@ colinear-anchor deployments.
 
 import asyncio
 import math
+import re
 
 import numpy as np
 import pytest
 
 from repro.core.batch import BatchTofEngine, unsolvable_reason
+from repro.core.cfo import LinkCalibration
 from repro.core.localization import (
     locate_transmitter,
 )
@@ -426,6 +428,48 @@ class TestLocalizationService:
         assert "no signal power" in dead.anchor_errors[1]
         assert dead.used_anchors == (0, 2, 3)
         assert dead.position.distance_to(truths["c2"]) < 0.3
+
+    def test_negative_range_dropped_like_a_non_finite_one(
+        self, rng, make_loc_service
+    ):
+        """A calibration bias larger than a link's ToF gives a negative
+        range: that anchor drops out of its client's fix with an error
+        naming the range, the client is solved from the other three,
+        and the tick's two anchor counts make two solves."""
+        service = make_loc_service(ANCHORS, config=FAST_CONFIG)
+        truths = {"a": Point(3.0, 3.0), "b": Point(7.0, 5.0), "c": Point(4.0, 5.0)}
+        too_large = LinkCalibration(tof_bias_s=60e-9)  # 18 m > any range here
+        requests = {
+            cid: [
+                RangingRequest(
+                    f"{cid}:{k}",
+                    FREQS,
+                    h,
+                    calibration=too_large if (cid, k) == ("c", 0) else None,
+                )
+                for k, h in enumerate(anchor_products(pos, ANCHORS, rng))
+            ]
+            for cid, pos in truths.items()
+        }
+
+        async def run():
+            return await asyncio.gather(
+                *(service.locate(cid, reqs) for cid, reqs in requests.items())
+            )
+
+        fixes = {fix.client_id: fix for fix in asyncio.run(run())}
+        assert all(fix.ok for fix in fixes.values())
+        c = fixes["c"]
+        assert c.used_anchors == (1, 2, 3)
+        assert re.fullmatch(
+            r"negative distance estimate \(-\d+\.\d\d m\)", c.anchor_errors[0]
+        )
+        assert math.isnan(c.distances_m[0])
+        assert c.position.distance_to(truths["c"]) < 0.3
+        assert fixes["a"].used_anchors == fixes["b"].used_anchors == (0, 1, 2, 3)
+        assert service.stats.n_solves == 2
+        assert service.stats.largest_solve == 2
+        assert service.stats.n_anchor_range_failures == 1
 
     def test_too_few_anchors_fails_with_error(self, rng, make_loc_service):
         service = make_loc_service(ANCHORS, config=FAST_CONFIG)

@@ -138,7 +138,8 @@ def _spline_weights(subcarriers: tuple[int, ...]) -> FloatVector:
         )
     n = len(idx)
     h = np.diff(idx)
-    delta = np.diff(np.eye(n), axis=0) / h[:, None]  # piece slopes, per y
+    identity = np.eye(n)
+    delta = np.diff(identity, axis=0) / h[:, None]  # piece slopes, per y
     a = np.zeros((n, n))
     rhs = np.empty((n, n))
     # Interior rows: h[i]·s[i-1] + 2(h[i-1] + h[i])·s[i] + h[i-1]·s[i+1]
@@ -172,7 +173,7 @@ def _spline_weights(subcarriers: tuple[int, ...]) -> FloatVector:
     cubic = (s[k] + s[k + 1] - 2.0 * delta[k]) / h[k]
     quadratic = (delta[k] - s[k]) / h[k] - cubic
     weights = (
-        np.eye(n)[k] + s[k] * t + quadratic * (t * t) + cubic / h[k] * (t * t * t)
+        identity[k] + s[k] * t + quadratic * (t * t) + cubic / h[k] * (t * t * t)
     )
     weights.setflags(write=False)
     return weights

@@ -22,8 +22,9 @@ resolving the fix through the batched position solver:
   :func:`~repro.core.localization_batch.locate_transmitter_batch`, one
   call per anchor count (each client keeps its own anchor array), and
   every call of the flush runs in one hop to the solve worker.
-* **per-client isolation** — a failed anchor range drops that anchor
-  (the fix degrades gracefully down to 2 anchors); a client whose
+* **per-client isolation** — a failed anchor range (an error, or a
+  non-finite or negative distance) drops that anchor (the fix
+  degrades gracefully down to 2 anchors); a client whose
   system still cannot be solved gets an error-carrying
   :class:`PositionFix` while its coalesced peers solve on.  The retry
   discipline reuses the serving layer's

@@ -1,6 +1,5 @@
 """Zero-subcarrier interpolation (§5) and CFO reciprocity handling (§7)."""
 
-import math
 import re
 import subprocess
 import sys
@@ -228,12 +227,12 @@ class TestStackedFrontEnd:
 
     @pytest.mark.parametrize(
         "layout",
-        [(1, 1, 2), (2, 1), (0, math.nan), (3,), ((0, 1), (2, 3))],
+        [(1, 1, 2), (2, 1), (0, np.nan), (3,), ((0, 1), (2, 3))],
         ids=["repeated", "decreasing", "non-finite", "one", "2-d"],
     )
     def test_spline_weights_reject_what_scipy_rejects(self, layout):
         with pytest.raises(ValueError):
-            CubicSpline(np.asarray(layout, dtype=float), np.eye(2))
+            CubicSpline(np.asarray(layout, dtype=float), np.eye(len(layout)))
         with pytest.raises(ValueError, match=re.escape(str(layout))):
             _spline_weights(layout)
 

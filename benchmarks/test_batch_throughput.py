@@ -105,7 +105,7 @@ def test_streaming_coalesced_matches_hybrid_batch():
     try:
         responses = asyncio.run(run_streams())
     finally:
-        streaming.close()  # release the flush-pool worker threads
+        streaming.close()  # release the flush worker thread
 
     for response, want in zip(responses, batch_tofs, strict=True):
         assert abs(response.estimate.tof_s - want) <= 1e-12

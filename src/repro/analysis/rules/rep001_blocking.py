@@ -4,7 +4,7 @@ The streaming and localization layers run on a single asyncio event
 loop; one blocking call inside a coroutine stalls every coalescing
 window, timer and caller on that loop.  The engine's solves are GEMMs
 that run for milliseconds-to-seconds — they must reach the loop only
-through ``run_in_executor`` (the flush pool), never called directly
+through an executor (a flush or solve worker), never called directly
 from a coroutine.
 
 Flagged inside ``async def`` bodies (nested ``def``/``async def``

@@ -1,13 +1,13 @@
 """REP002 — writes to lock-guarded state outside its ``with`` block.
 
 A lightweight lexical race detector for the invariants that keep the
-NDFT operator cache and the flush-pool bookkeeping correct under
+NDFT operator cache and the stream's flush worker correct under
 concurrent callers.  State is declared guarded with a trailing comment
 on its defining assignment::
 
     _cache_hits = 0  # guarded-by: _OPERATOR_CACHE_LOCK
 
-    self._executors: dict[int, Executor] = {}  # guarded-by: self._pool_lock
+    self._executor: Executor | None = None  # guarded-by: self._executor_lock
 
 Every *write* to a declared name elsewhere in the module — plain
 assignment, augmented assignment, subscript store or ``del`` — must

@@ -1,7 +1,7 @@
 """REP003 — request/hint/config types must be frozen dataclasses.
 
 The serving stack passes :class:`~repro.net.service.LinkRequest`
-objects across coroutines and flush-pool worker threads.  A mutable
+objects across coroutines and worker threads.  A mutable
 request would let one layer's edit leak into another's in-flight solve
 — the whole request API is therefore immutable by contract:
 ``@dataclass(frozen=True)``, enforced here for

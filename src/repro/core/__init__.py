@@ -38,7 +38,6 @@ from repro.core.sparse import (
 from repro.core.profile import MultipathProfile, refine_first_peak
 from repro.core.cfo import LinkCalibration, band_products
 from repro.core.tof import TofEstimate, TofEstimator, TofEstimatorConfig
-from repro.core.ranging import RangingFilter
 from repro.core.localization import (
     GeometryDrop,
     LocalizationResult,
@@ -78,7 +77,6 @@ __all__ = [
     "TofEstimate",
     "TofEstimator",
     "TofEstimatorConfig",
-    "RangingFilter",
     "GeometryDrop",
     "LocalizationResult",
     "anchors_are_colinear",

@@ -142,11 +142,18 @@ class BatchTofEngine:
             One :class:`TofEstimate` per row of ``channels``.
 
         Raises:
-            ValueError: On malformed shapes.
+            ValueError: On malformed shapes, or an ``exponent`` that is
+                not a positive integer.
             UnsolvableLinks: Before any kernel runs, when rows fail
                 :func:`unsolvable_reason`; the message and ``reasons``
                 name each such row and its reason.
         """
+        if (
+            isinstance(exponent, bool)
+            or not isinstance(exponent, (int, np.integer))
+            or exponent < 1
+        ):
+            raise ValueError(f"exponent must be a positive integer, got {exponent!r}")
         freqs = np.asarray(frequencies_hz, dtype=float)
         stacked = np.asarray(channels, dtype=complex)
         if stacked.ndim != 2:

@@ -13,8 +13,8 @@ extractor, :func:`repro.core.deflation_batch.extract_paths_batch`, runs
 the greedy loop for a stack of links; one link is a one-row stack.
 This module holds what the extractor and the engine share: the
 settings, the signal floor that stops extraction, the matched-filter
-grid, the L1 amplitude fit, the pseudo-alias shifts of a band plan and
-the paper's first-peak rule (§6) over the extracted paths.
+grid, the pseudo-alias shifts of a band plan and the paper's
+first-peak rule (§6) over the extracted paths.
 """
 
 from __future__ import annotations
@@ -24,15 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.analysis.contracts import shaped
 from repro.core.profile import RefinedPath
-from repro.core.typing import (
-    ComplexCSI,
-    ComplexProfile,
-    DelayVector,
-    FrequencyVector,
-    NdftMatrix,
-)
+from repro.core.typing import DelayVector, FrequencyVector
 
 
 @dataclass(frozen=True)
@@ -133,53 +126,6 @@ def matched_filter_grid(
         raise ValueError("frequencies must not be all identical")
     grid_step = config.phase_budget_rad / (np.pi * span)
     return np.arange(0.0, max_delay_s, grid_step), grid_step
-
-
-@shaped("(n_freqs, n_atoms) complex128", "(n_freqs,) complex128", ret="(n_atoms,) complex128")
-def lasso_amplitudes(
-    A: NdftMatrix,
-    h: ComplexCSI,
-    alpha_rel: float,
-    max_iterations: int = 400,
-    tolerance_rel: float = 1e-6,
-) -> ComplexProfile:
-    """L1-regularized amplitude fit on a small fixed dictionary.
-
-    FISTA on ``min ||h - A x||² + α||x||₁`` with α relative to
-    ``max|Aᴴh|``.  The *final* amplitude estimate after greedy
-    extraction: unlike plain least squares it does not split energy onto
-    pseudo-alias atoms that merely correlate with a true component.
-    The one-link reference of
-    :func:`repro.core.deflation_batch.lasso_amplitudes_batch`, which
-    calls it for links whose ``α`` is zero.
-    """
-    A = np.asarray(A, dtype=complex)
-    h = np.asarray(h, dtype=complex)
-    if A.shape[0] != len(h):
-        raise ValueError(f"A has {A.shape[0]} rows but h has {len(h)} entries")
-    Ah = A.conj().T
-    corr = np.abs(Ah @ h)
-    alpha = alpha_rel * float(corr.max()) if corr.size else 0.0
-    if alpha == 0.0:
-        x, *_ = np.linalg.lstsq(A, h, rcond=None)
-        return x
-    gamma = 1.0 / float(np.linalg.norm(A, 2) ** 2)
-    x = np.zeros(A.shape[1], dtype=complex)
-    y = x
-    t_k = 1.0
-    from repro.core.sparse import soft_threshold
-
-    for _ in range(max_iterations):
-        grad = Ah @ (A @ y - h)
-        x_next = soft_threshold(y - gamma * grad, gamma * alpha)
-        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t_k**2)) / 2.0
-        y = x_next + ((t_k - 1.0) / t_next) * (x_next - x)
-        step = float(np.linalg.norm(x_next - x))
-        scale = max(float(np.linalg.norm(x_next)), 1e-30)
-        x, t_k = x_next, t_next
-        if step < tolerance_rel * scale:
-            break
-    return x
 
 
 SOFT_GATE_WINDOW_S = 25e-9

@@ -58,7 +58,6 @@ from repro.analysis.contracts import shaped
 from repro.core.deflation import (
     DeflationConfig,
     first_path_delay,
-    lasso_amplitudes,
     matched_filter_grid,
     signal_floor_rel,
 )
@@ -386,16 +385,19 @@ def lasso_amplitudes_batch(
 ) -> list[ComplexProfile]:
     """L1-regularized amplitude fits for many links in one FISTA run.
 
-    The batched counterpart of
-    :func:`repro.core.deflation.lasso_amplitudes`, fitting link ``i``'s
-    amplitudes over its own dictionary ``ndft_matrix(freqs,
-    delay_sets[i])`` against row ``i`` of ``channels``.  The dictionaries
-    are padded with all-zero columns to a common width — a zero column's
-    gradient and iterate stay exactly zero, so padding never perturbs
-    the live coefficients — and every link keeps its own ``α`` (relative
-    to its ``max|Aᴴh|``), its own step size and its own stop test; a
+    Link ``i`` minimizes ``½‖h − Ax‖² + α‖x‖₁`` over its own dictionary
+    ``A = ndft_matrix(freqs, delay_sets[i])``, with ``h`` row ``i`` of
+    ``channels`` and ``α = alpha_rel · max|Aᴴh|``.  The *final*
+    amplitude estimate after greedy extraction: unlike plain least
+    squares it does not split energy onto pseudo-alias atoms that
+    merely correlate with a true component.  A link whose ``α`` is zero
+    (a zero channel, or ``alpha_rel = 0``) gets the least-squares fit.
+    The dictionaries are padded with all-zero columns to a common width
+    — a zero column's gradient and iterate stay exactly zero, so
+    padding never perturbs the live coefficients — and every link
+    keeps its own ``α``, its own step size and its own stop test; a
     converged link freezes at that iterate while the rest keep
-    iterating, mirroring the scalar trajectory per link.
+    iterating, so a link's fit does not depend on its stack.
     """
     n = len(delay_sets)
     ch = np.asarray(channels, dtype=complex)
@@ -406,7 +408,7 @@ def lasso_amplitudes_batch(
         )
     freqs = np.asarray(frequencies_hz, dtype=float)
     # Filled link by link below; every index is assigned before return
-    # (α = 0 links via the scalar fallback, α > 0 links via the lockstep
+    # (α = 0 links by least squares, α > 0 links via the lockstep
     # FISTA's freeze-out), hence the casts at the exits.
     results: list[ComplexProfile | None] = [None] * n
     widths = [len(d) for d in delay_sets]
@@ -419,17 +421,13 @@ def lasso_amplitudes_batch(
             A[i, :, : widths[i]] = ndft_matrix(freqs, np.asarray(d, dtype=float))
     corr = np.abs(np.einsum("nbk,nb->nk", A.conj(), ch))
     alphas = alpha_rel * corr.max(axis=1)
-    # α = 0 (zero channel, or alpha_rel = 0) falls back to the scalar
-    # path's plain least squares, link by link.
     for i in np.flatnonzero(alphas == 0.0):
-        results[i] = lasso_amplitudes(
-            A[i, :, : widths[i]], ch[i], 0.0, max_iterations, tolerance_rel
-        )
+        results[i] = np.linalg.lstsq(A[i, :, : widths[i]], ch[i], rcond=None)[0]
     active = np.flatnonzero(alphas > 0.0)
     if active.size == 0:
         return cast("list[ComplexProfile]", results)
     # Zero padding columns leave the largest singular value unchanged,
-    # so each link's FISTA step size matches its scalar run.
+    # so each link's FISTA step size is that of its own dictionary.
     top_sv = np.linalg.svd(A[active], compute_uv=False)[:, 0]
     gammas = 1.0 / top_sv**2
     A_a = A[active]

@@ -1,118 +1,19 @@
-"""Distance estimation utilities on top of raw ToF measurements.
+"""Distance-error helpers on top of raw ToF measurements.
 
-The paper uses these in two places: §12.2's localization discards
-distance estimates "that do not fit the geometry" (see
-:mod:`repro.core.localization` for the geometric filter), and §9's drone
-controller "can average across these invocations and reject outliers to
-maintain this distance at a much higher accuracy than Chronos's native
-algorithm".  :class:`RangingFilter` implements that averaging/rejection.
+The paper's §9 drone controller "can average across these invocations
+and reject outliers to maintain this distance at a much higher accuracy
+than Chronos's native algorithm"; that loop is
+:class:`repro.stream.tracker.LinkTracker`.  This module keeps the error
+metric the drone experiment reports.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Sequence
 
 import numpy as np
 
-from repro.core.typing import BoolMask, FloatVector
-
-
-def mad_outlier_mask(values: FloatVector | Sequence[float], k: float = 3.5) -> BoolMask:
-    """Boolean mask of *inliers* by the median-absolute-deviation rule.
-
-    A value is an outlier when it sits more than ``k`` scaled MADs from
-    the median.  With fewer than 3 samples everything is an inlier (no
-    robust scale exists yet).
-    """
-    vals = np.asarray(values, dtype=float)
-    if vals.ndim != 1:
-        raise ValueError(f"values must be 1-D, got shape {vals.shape}")
-    if len(vals) < 3:
-        return np.ones(len(vals), dtype=bool)
-    median = np.median(vals)
-    mad = np.median(np.abs(vals - median))
-    if mad == 0.0:
-        return np.abs(vals - median) < 1e-12
-    # 1.4826 scales MAD to a Gaussian sigma-equivalent.
-    return np.abs(vals - median) <= k * 1.4826 * mad
-
-
-class RangingFilter:
-    """Sliding-window robust distance tracker (§9's de-noising loop).
-
-    Keeps the last ``window`` raw distance measurements, rejects MAD
-    outliers, and reports the median of the survivors.
-
-    Args:
-        window: Number of recent measurements retained (the drone gets
-            ~12 sweeps per second; a window of 12 is one second of data).
-        outlier_k: MAD rejection threshold.
-    """
-
-    def __init__(self, window: int = 12, outlier_k: float = 3.5):
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        if outlier_k <= 0:
-            raise ValueError(f"outlier_k must be positive, got {outlier_k}")
-        self.window = window
-        self.outlier_k = outlier_k
-        self._samples: deque[float] = deque(maxlen=window)
-
-    def __len__(self) -> int:
-        return len(self._samples)
-
-    def add(self, distance_m: float) -> None:
-        """Record one raw distance measurement."""
-        if not np.isfinite(distance_m):
-            raise ValueError(f"distance must be finite, got {distance_m}")
-        self._samples.append(float(distance_m))
-
-    def value(self) -> float:
-        """Robust current distance: median of MAD-inliers in the window.
-
-        Raises ``ValueError`` when no measurement has been added yet.
-        """
-        if not self._samples:
-            raise ValueError("no measurements recorded yet")
-        vals = np.array(self._samples)
-        inliers = vals[mad_outlier_mask(vals, self.outlier_k)]
-        if len(inliers) == 0:
-            inliers = vals
-        return float(np.median(inliers))
-
-    def predicted_value(self) -> float:
-        """Robust *current* distance with motion-lag compensation.
-
-        The plain median of a sliding window lags a moving target by
-        half the window; at walking speed and a 12 Hz sweep rate that
-        alone is ~15 cm of bias.  This estimator fits a robust line
-        (Theil–Sen: median of pairwise slopes) through the windowed
-        inlier samples and evaluates it at the latest tick, removing
-        the lag while keeping the outlier immunity of the median.
-        """
-        if not self._samples:
-            raise ValueError("no measurements recorded yet")
-        vals = np.array(self._samples)
-        inlier_mask = mad_outlier_mask(vals, self.outlier_k)
-        idx = np.arange(len(vals), dtype=float)[inlier_mask]
-        vals = vals[inlier_mask]
-        if len(vals) == 0:
-            return self.value()
-        if len(vals) < 3:
-            return float(np.median(vals))
-        slopes = [
-            (vals[j] - vals[i]) / (idx[j] - idx[i])
-            for i in range(len(vals))
-            for j in range(i + 1, len(vals))
-        ]
-        slope = float(np.median(slopes))
-        latest = float(len(self._samples) - 1)
-        return float(np.median(vals + slope * (latest - idx)))
-
-    def reset(self) -> None:
-        """Drop all recorded measurements."""
-        self._samples.clear()
+from repro.core.typing import FloatVector
 
 
 def rmse(errors_m: FloatVector | Sequence[float]) -> float:

@@ -219,9 +219,8 @@ class FollowSimulation:
         self.tracker_config = tracker_config or TrackerConfig(
             measurement_sigma_m=0.04,
             process_accel_sigma_mps2=2.0,
-            # RangingFilter accepted windows down to 1; the tracker's
-            # MAD statistic needs at least 3 samples, so tiny legacy
-            # values are widened rather than rejected.
+            # The tracker's MAD statistic needs at least 3 samples, so
+            # a smaller filter_window is widened rather than rejected.
             gate_window=max(self.config.filter_window, 3),
             min_gate_m=0.1,
         )

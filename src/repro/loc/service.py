@@ -286,13 +286,20 @@ class LocalizationService:
         if anchor_indices is None:
             client_anchor_indices = tuple(range(len(self.anchors)))
         else:
-            client_anchor_indices = tuple(int(i) for i in anchor_indices)
+            client_anchor_indices = tuple(anchor_indices)
             for i in client_anchor_indices:
+                # int() would read 1.7 as 1 and True as 1.
+                if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+                    raise ValueError(
+                        f"client {client_id!r}: anchor index {i!r} is not "
+                        "an integer"
+                    )
                 if not 0 <= i < len(self.anchors):
                     raise ValueError(
                         f"client {client_id!r}: anchor index {i} outside "
                         f"the deployment's {len(self.anchors)} anchors"
                     )
+            client_anchor_indices = tuple(int(i) for i in client_anchor_indices)
             if len(set(client_anchor_indices)) != len(client_anchor_indices):
                 raise ValueError(
                     f"client {client_id!r}: duplicate anchor indices in "

@@ -268,8 +268,8 @@ class RangingService:
         """The band-plan identity of a request.
 
         Requests sharing a key stack into the same batched solves; the
-        streaming flush pool keys its per-plan workers on it too.  The
-        rule itself lives on the request
+        streaming layer partitions its flushes into plan groups on it
+        too.  The rule itself lives on the request
         (:meth:`LinkRequest.plan_signature`), so new request kinds
         carry their own grouping identity.
         """
@@ -281,9 +281,8 @@ class RangingService:
         """Indices grouped by band plan, in first-seen order.
 
         Each group is an independently solvable unit: no estimate
-        depends on requests outside its group, so callers (the
-        streaming flush pool) may solve groups concurrently and in any
-        order.
+        depends on requests outside its group, so callers may solve
+        groups in any order, or concurrently.
         """
         by_plan: dict[object, list[int]] = {}
         for idx, request in enumerate(requests):
@@ -348,13 +347,13 @@ class RangingService:
     ) -> list[RangingResponse]:
         """Solve one band-plan-uniform group of requests, in order.
 
-        The flush pool's entry point: every request must share one
-        :meth:`plan_key` (mixed plans raise ``ValueError`` — callers
-        partition with :meth:`plan_groups` first).  It touches no
-        shared service state, so concurrent per-plan workers may call
-        it on the same service without a lock; the engine underneath
-        is thread-safe.  ``stats_out`` receives this
-        call's own single-plan :class:`ServiceStats` (appended).
+        The streaming flush worker's entry point: every request must
+        share one :meth:`plan_key` (mixed plans raise ``ValueError`` —
+        callers partition with :meth:`plan_groups` first).  It touches
+        no shared service state, so concurrent callers may call it on
+        the same service without a lock; the engine underneath is
+        thread-safe.  ``stats_out`` receives this call's own
+        single-plan :class:`ServiceStats` (appended).
         """
         requests = list(requests)
         if not requests:

@@ -5,7 +5,7 @@ Two process-wide singletons serve every layer:
 * :data:`REGISTRY` — cumulative counters/gauges/histograms with
   Prometheus-text and JSON export (:mod:`repro.obs.metrics`);
 * :data:`TRACER` — flush-path spans stitched across the asyncio loop
-  and the flush-pool worker threads (:mod:`repro.obs.trace`).
+  and the flush worker thread (:mod:`repro.obs.trace`).
 
 :func:`timed_span` is the instrumentation idiom the layers share: one
 context manager that both opens a trace span and observes the block's

@@ -2,8 +2,8 @@
 
 The serving stack (engine → service → stream → loc) previously exposed
 only last-call snapshot dataclasses (``ServiceStats``,
-``StreamStats``) — overwritten per call, racy under the concurrent
-flush pool, and never exported.  This registry is the cumulative,
+``StreamStats``) — overwritten per call, racy under concurrent
+callers, and never exported.  This registry is the cumulative,
 process-wide complement: every layer publishes named series
 (``engine.solve_s``, ``stream.queue_wait_s``, ...) with low-cardinality
 labels (layer, plan, method, stage), and the whole registry renders as

@@ -1,16 +1,16 @@
-"""Flush-path tracing: contextvar-propagated spans across loop and pool.
+"""Flush-path tracing: contextvar-propagated spans across loop and worker.
 
 One streaming request's life crosses four execution contexts — the
-caller's coroutine (``submit``), the event-loop flush callback, a
-band-plan flush-pool worker thread (the engine solve), and back to the
-loop (resolve).  A :class:`Span` names one timed stage of that path; a
+caller's coroutine (``submit``), the event-loop flush callback, the
+flush worker thread (the engine solve), and back to the loop
+(resolve).  A :class:`Span` names one timed stage of that path; a
 trace is the tree of spans sharing a ``trace_id``, and the serving
 layers stitch the tree together across context hops:
 
 * **same task / same thread** — ambient propagation: ``span()`` parents
   itself under the contextvar-held current span, and asyncio tasks copy
   the context at creation, so nesting works unannotated;
-* **loop → worker thread** (``run_in_executor`` does *not* carry
+* **loop → worker thread** (an executor hop does *not* carry
   contextvars) — the dispatching layer captures :func:`current` on the
   loop and passes it as the explicit ``parent=`` of the span it opens
   on the worker;
@@ -303,7 +303,7 @@ class Tracer:
 
         Covers intervals where no code runs to hold a ``with`` open —
         a request parked on the coalescing queue, a group waiting for
-        its pool worker.  The span's ids mint now; its timing is the
+        the flush worker.  The span's ids mint now; its timing is the
         caller's.
         """
         if not self._enabled:

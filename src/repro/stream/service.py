@@ -29,15 +29,14 @@ flush through :meth:`BatchTofEngine.estimate_sweeps_batch`, which
 shards the per-link band groups by frequency set — so even streams on
 heterogeneous band plans coalesce whatever they share.
 
-Flushes solve on a **band-plan-keyed worker pool** of
-:data:`FLUSH_WORKERS` size-1 workers: each flush partitions into its
-plan groups and every group dispatches to the worker its plan is
-pinned to.  Heterogeneous-plan flushes therefore overlap their solves
-while any single plan keeps strict solve order on one thread; stats
-updates stay loop-serialized, and a group's callers resolve as soon as
-their group returns.  A request's queue wait runs from its enqueue to
-the start of its group's solve on the worker, so a same-plan backlog
-on the worker counts as queue wait.
+Flushes solve on **one flush worker** per service, a lazily created
+size-1 thread: each flush partitions into its plan groups and every
+group is queued on that worker in first-seen order, so solves keep
+strict order on one thread; stats updates stay loop-serialized, and a
+group's callers resolve as soon as their group returns.  A request's
+queue wait runs from its enqueue to the start of its group's solve on
+the worker, so any backlog on the worker (an earlier group's solve,
+of this flush or of an earlier one) counts as queue wait.
 """
 
 from __future__ import annotations
@@ -46,8 +45,9 @@ import asyncio
 import dataclasses
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.core.cfo import LinkCalibration
 from repro.core.tof import TofEstimatorConfig
@@ -68,10 +68,6 @@ from repro.obs import (
     trace,
 )
 from repro.wifi.csi import CsiSweep
-
-# Width of the band-plan-keyed flush pool.  On a one-core runner the
-# win is overlap and latency, not throughput.
-FLUSH_WORKERS = 4
 
 
 @dataclass(frozen=True)
@@ -164,9 +160,9 @@ class SweepRequest(LinkRequest):
 class StreamStats:
     """Cumulative telemetry of one streaming service instance.
 
-    ``n_groups`` counts the plan groups flushes dispatched to the
-    worker pool (a single-plan flush is one group, a mixed flush one
-    per plan), and the per-type failure counts split ``n_failed`` by
+    ``n_groups`` counts the plan groups flushes queued on the flush
+    worker (a single-plan flush is one group, a mixed flush one per
+    plan), and the per-type failure counts split ``n_failed`` by
     request kind — ``n_failed == n_failed_products + n_failed_sweeps``
     always holds.
     """
@@ -190,7 +186,7 @@ class _Pending:
     """One parked request and the future its caller awaits.
 
     ``enqueued_perf_s`` and ``ctx`` carry the request's queue-entry
-    timestamp and its submit span's context to the pool worker, so the
+    timestamp and its submit span's context to the flush worker, so the
     queue wait becomes both a ``stream.queue_wait_s`` observation and a
     retroactive trace span parented under the caller's submit.
     """
@@ -229,25 +225,14 @@ class StreamingRangingService:
         self._flush_handle: asyncio.TimerHandle | asyncio.Handle | None = None
         self._flush_loop: asyncio.AbstractEventLoop | None = None
         self._stats = StreamStats()
-        # The band-plan-keyed flush pool: slot index -> size-1 worker.
-        # A plan is pinned to one slot for the service's life, so one
-        # plan's solves stay ordered on one thread while different
-        # plans overlap on different workers.  One RLock (re-entrant:
-        # _group_executor takes it and calls _pool_slot, which takes it
-        # again) guards all three pieces of pool state — close() may
-        # run from any owner thread while a StreamClient loop is
-        # pinning a new plan, and an unguarded swap there could hand a
-        # group an executor that close() already shut down, or leak a
-        # worker that close() never saw.
-        self._pool_lock = threading.RLock()
-        self._executors: dict[  # guarded-by: self._pool_lock
-            int, ThreadPoolExecutor
-        ] = {}
-        self._slot_by_key: dict[  # guarded-by: self._pool_lock
-            object, int
-        ] = {}  # LRU order: oldest first
-        # Monotonic; drives the round-robin.
-        self._plans_pinned = 0  # guarded-by: self._pool_lock
+        # The one flush worker, created on first use.  close() may run
+        # from any owner thread while a StreamClient loop queues a
+        # group, so creating, queueing on and swapping out the worker
+        # all happen under one lock: close() never misses a worker it
+        # should shut down, and no group is queued on one it already
+        # shut down.
+        self._executor_lock = threading.Lock()
+        self._executor: ThreadPoolExecutor | None = None  # guarded-by: self._executor_lock
         self._inflight: set[asyncio.Task] = set()
         # Embedded telemetry endpoint, config-gated; stopped by close().
         self.obs_server: ObsServer | None = None
@@ -327,17 +312,17 @@ class StreamingRangingService:
         await asyncio.sleep(0)
 
     def close(self) -> None:
-        """Release every flush-pool worker thread (idempotent).
+        """Release the flush worker thread (idempotent).
 
         Only needed by owners that create and discard many services
         (tests, short-lived clients); a long-lived deployment keeps the
-        pool for its whole life.  In-flight solves finish, and a
-        submission after ``close`` simply spins up fresh workers — the
-        service stays usable.
+        worker for its whole life.  Queued and in-flight solves finish,
+        and a submission after ``close`` simply spins up a fresh worker
+        — the service stays usable.
         """
-        with self._pool_lock:
-            executors, self._executors = self._executors, {}
-        for executor in executors.values():
+        with self._executor_lock:
+            executor, self._executor = self._executor, None
+        if executor is not None:
             executor.shutdown(wait=False)
         if self.obs_server is not None:
             self.obs_server.stop()
@@ -387,7 +372,7 @@ class StreamingRangingService:
         Runs as a loop callback: by the time it fires, every submission
         from the current scheduling round has been parked, so one flush
         serves them all.  Each of the flush's plan groups solves on the
-        band-plan pool and only the solves' *results* come back to the
+        flush worker and only the solves' *results* come back to the
         loop to resolve futures — submissions arriving while a solve is
         in flight park as usual and coalesce into the next batch.
         """
@@ -431,10 +416,9 @@ class StreamingRangingService:
         cross-link sweep coalescing: links with different numbers of
         sweeps pending still share one ``estimate_sweeps_batch`` call
         (the engine shards by frequency set internally), while sweeps
-        on genuinely different plans land on different pool workers.
-        Returns ``(pool key, pending, solver, is_sweep)`` tuples in
-        first-seen order; groups share no state, so the pool may solve
-        them concurrently.
+        on genuinely different plans land in different groups.
+        Returns ``(plan key, pending, solver, is_sweep)`` tuples in
+        first-seen order, the order the flush worker solves them in.
         """
         groups: dict[object, tuple[object, list[_Pending], object, bool]] = {}
         for p in batch:
@@ -456,19 +440,18 @@ class StreamingRangingService:
         return list(groups.values())
 
     async def _flush_offloaded(self, batch: list[_Pending]) -> None:
-        """One flush with its engine solves on the band-plan pool.
+        """One flush with its engine solves on the flush worker.
 
-        Every plan group of the flush dispatches to the worker its
-        plan is pinned to and the solves run concurrently; each group's
-        callers resolve as soon as *their* group returns (a fast plan
-        never waits behind a slow one).  Futures are resolved on the
-        loop (after the ``await``), never from a worker —
-        ``Future.set_result`` is not thread-safe — and the stats
-        update runs loop-serialized after the last group lands, still
-        ahead of any awaiting caller resuming, so ``stats`` reads
-        consistently right after a gather over submissions completes.
+        Every plan group of the flush is queued on the worker in
+        first-seen order; each group's callers resolve as soon as
+        *their* group returns, without waiting for later groups to
+        solve.  Futures are resolved on the loop (after the ``await``),
+        never from the worker — ``Future.set_result`` is not
+        thread-safe — and the stats update runs loop-serialized after
+        the last group lands, still ahead of any awaiting caller
+        resuming, so ``stats`` reads consistently right after a gather
+        over submissions completes.
         """
-        loop = asyncio.get_running_loop()
         groups = self._plan_groups(batch)
         # Parenting under the first request's submit span keeps one
         # request's whole chain a single trace tree; batch-mates link
@@ -481,14 +464,7 @@ class StreamingRangingService:
         ) as flush_span:
             failures = await asyncio.gather(
                 *(
-                    self._solve_group(
-                        loop,
-                        self._group_executor(key),
-                        pending,
-                        solver,
-                        key,
-                        flush_span.context,
-                    )
+                    self._solve_group(pending, solver, key, flush_span.context)
                     for key, pending, solver, _is_sweep in groups
                 )
             )
@@ -503,19 +479,17 @@ class StreamingRangingService:
                 n_failed_products += failed
         self._record_flush(batch, len(groups), n_failed_products, n_failed_sweeps)
 
-    async def _solve_group(
-        self, loop, executor, pending, solver, key, flush_ctx
-    ) -> int:
+    async def _solve_group(self, pending, solver, key, flush_ctx) -> int:
         requests = [p.request for p in pending]
         label = plan_label(key)
 
         def solve_on_worker():
-            # Runs on the plan's pool worker.  Contextvars do not cross
-            # run_in_executor, so the flush span parents explicitly —
-            # this is the thread hop that keeps one request's trace a
-            # single tree.  Queue wait ends here, when the solve
-            # starts, so a same-plan backlog on the worker counts in
-            # it; the overload SLO reads this series.
+            # Runs on the flush worker.  Contextvars do not cross the
+            # thread hop, so the flush span parents explicitly — this
+            # is what keeps one request's trace a single tree.  Queue
+            # wait ends here, when the solve starts, so any backlog on
+            # the worker counts in it; the overload SLO reads this
+            # series.
             start = time.perf_counter()
             for p in pending:
                 REGISTRY.observe("stream.queue_wait_s", start - p.enqueued_perf_s)
@@ -537,7 +511,7 @@ class StreamingRangingService:
                 return solver(requests)
 
         try:
-            responses = await loop.run_in_executor(executor, solve_on_worker)
+            responses = await asyncio.wrap_future(self._queue_on_worker(solve_on_worker))
         except Exception as exc:  # noqa: BLE001 — a dying flush must not hang callers
             self._reject_all(pending, exc)
             return len(pending)
@@ -591,59 +565,20 @@ class StreamingRangingService:
             },
         }
 
-    _MAX_PINNED_PLANS = 1024
+    def _queue_on_worker(
+        self, fn: Callable[[], list[RangingResponse]]
+    ) -> Future[list[RangingResponse]]:
+        """Queue ``fn`` on the flush worker, creating it on first use.
 
-    def _pool_slot(self, key: object) -> int:
-        """The pool slot a plan is pinned to (first-seen round-robin).
-
-        Deterministic on purpose: the first :data:`FLUSH_WORKERS` distinct
-        plans a service sees land on distinct workers (hashing would
-        collide them at random), and a plan keeps its slot for the
-        service's life, so its groups — across successive flushes and
-        overflow follow-ups — always solve on the same single thread,
-        ordered exactly like the old shared worker.
-
-        The pin table itself is bounded so plan churn cannot grow it
-        forever: every use refreshes a pin's recency, and past
-        ``_MAX_PINNED_PLANS`` the *least-recently-used* plan is
-        forgotten — a hot plan therefore never loses its pin, and a
-        cold one only after ~a thousand other plans have flushed since
-        its last solve, by which point nothing of its old slot can
-        still be in flight.  The round-robin runs on a monotonic
-        counter (not the table's size, which saturates at the bound
-        and would otherwise hand every post-saturation plan the same
-        slot).
+        The engine's operator cache is thread-safe, so the worker may
+        run next to direct ``RangingService`` callers.
         """
-        with self._pool_lock:
-            slot = self._slot_by_key.pop(key, None)
-            if slot is None:
-                slot = self._plans_pinned % FLUSH_WORKERS
-                self._plans_pinned += 1
-            self._slot_by_key[key] = slot  # (re)insert at LRU back
-            while len(self._slot_by_key) > self._MAX_PINNED_PLANS:
-                oldest = next(iter(self._slot_by_key))
-                if oldest == key:
-                    break
-                del self._slot_by_key[oldest]
-            return slot
-
-    def _group_executor(self, key: object) -> ThreadPoolExecutor:
-        """The lazily-created size-1 worker a plan group solves on.
-
-        Distinct plans spread across up to :data:`FLUSH_WORKERS` threads
-        and overlap; the engine's operator cache is thread-safe, so
-        the workers may run next to direct ``RangingService`` callers
-        and each other.
-        """
-        with self._pool_lock:
-            slot = self._pool_slot(key)
-            executor = self._executors.get(slot)
-            if executor is None:
-                executor = ThreadPoolExecutor(
-                    max_workers=1, thread_name_prefix=f"ranging-flush-{slot}"
+        with self._executor_lock:
+            if self._executor is None:
+                self._executor = ThreadPoolExecutor(
+                    max_workers=1, thread_name_prefix="ranging-flush"
                 )
-                self._executors[slot] = executor
-            return executor
+            return self._executor.submit(fn)
 
     # ------------------------------------------------------------------
     # Solvers — pure request → responses, safe on the flush worker
@@ -653,8 +588,8 @@ class StreamingRangingService:
     ) -> list[RangingResponse]:
         """One plan-uniform RangingService solve for a product group.
 
-        ``submit_grouped`` touches no shared service state, so pool
-        workers on different plans may run it concurrently on the one
+        ``submit_grouped`` touches no shared service state, so the
+        flush worker may run it next to direct callers of the one
         backing service.
         """
         return self.service.submit_grouped(requests)

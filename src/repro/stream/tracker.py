@@ -3,10 +3,9 @@
 The paper's §9 closed loop is the motivating workload: consecutive
 sweeps of the same link arrive at ~12 Hz and "the drone can average
 across these invocations and reject outliers to maintain this distance
-at a much higher accuracy than Chronos's native algorithm".  The
-original reproduction implemented that averaging as a sliding-window
-median (:class:`repro.core.ranging.RangingFilter`); this module
-supersedes it with a proper *state-space* tracker:
+at a much higher accuracy than Chronos's native algorithm".  This
+module implements that averaging as a *state-space* tracker rather
+than a sliding-window median:
 
 * :class:`LinkTracker` carries a constant-velocity Kalman filter over
   time-of-flight.  Each accepted measurement updates a ``[τ, τ̇]``

@@ -29,10 +29,10 @@ def rng() -> np.random.Generator:
 def make_streaming():
     """Factory for StreamingRangingService instances that closes them.
 
-    Every service owns real flush-pool worker threads; a test that
-    builds one inline and forgets ``close()`` leaks those threads into
-    the rest of the suite (and the pool multiplies them).  Tests build
-    services through this factory and teardown releases every pool.
+    Every service owns a real flush worker thread; a test that builds
+    one inline and forgets ``close()`` leaks that thread into the rest
+    of the suite.  Tests build services through this factory and
+    teardown releases every worker.
     """
     from repro.stream.service import StreamingRangingService
 
@@ -53,7 +53,7 @@ def make_loc_service():
     """Factory for LocalizationService instances that closes them.
 
     Same rationale as ``make_streaming``: the backing streaming layer
-    owns flush-pool worker threads that must not outlive the test.
+    owns a flush worker thread that must not outlive the test.
     """
     from repro.loc.service import LocalizationService
 

@@ -13,6 +13,7 @@ own named step so a regression is visible at a glance.
 
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -180,58 +181,81 @@ class TestOperatorLazyMemoization:
 
 
 class TestFlushPoolThreadSafety:
-    """The RLock guarding the streaming layer's band-plan flush pool."""
+    """The lock guarding the streaming layer's one flush worker."""
 
     def _service(self):
         from repro.stream.service import StreamingRangingService
 
         return StreamingRangingService()
 
-    def test_concurrent_pinning_yields_one_executor_per_plan(self):
-        """8 threads racing to pin one brand-new plan must agree on a
-        single slot and a single worker (no orphaned executors)."""
+    @staticmethod
+    def _record_executors(monkeypatch):
+        """Every flush worker the service creates, in creation order."""
+        import repro.stream.service as stream_service
+
+        created = []
+
+        class RecordingExecutor(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                created.append(self)
+
+        monkeypatch.setattr(stream_service, "ThreadPoolExecutor", RecordingExecutor)
+        return created
+
+    def test_concurrent_pinning_yields_one_executor_per_plan(self, monkeypatch):
+        """8 threads racing the first queueing on a fresh service must
+        create a single worker (no orphaned executors), and every
+        queued call runs on its one thread."""
+        created = self._record_executors(monkeypatch)
         service = self._service()
         barrier = threading.Barrier(8)
-        results = []
+        futures = []
 
         def worker(k):
             barrier.wait()
-            results.append(service._group_executor(("products", "planA")))
+            futures.append(service._queue_on_worker(threading.current_thread))
 
         try:
             errors = _run_threads(worker)
             assert errors == []
-            assert all(r is results[0] for r in results)
-            assert service._plans_pinned == 1
-            assert len(service._executors) == 1
+            assert len(created) == 1
+            assert service._executor is created[0]
+            assert len({f.result(timeout=30.0) for f in futures}) == 1
         finally:
             service.close()
 
-    def test_close_racing_pinning_leaks_no_worker(self):
-        """close() swapping the pool out from under a pinner must not
-        strand an executor where no close() can ever reach it."""
+    def test_close_racing_pinning_leaks_no_worker(self, monkeypatch):
+        """close() racing the threads that queue work must neither
+        strand a worker where no close() can ever reach it nor take a
+        call on a worker it already shut down."""
+        created = self._record_executors(monkeypatch)
         service = self._service()
-        created = []
+        futures = []
         barrier = threading.Barrier(8)
 
         def worker(k):
             barrier.wait()
-            if k % 2 == 0:
-                for i in range(40):
-                    created.append(
-                        service._group_executor(("products", f"plan{i % 4}"))
-                    )
-            else:
-                for _ in range(40):
+            for _ in range(40):
+                if k % 2 == 0:
+                    futures.append(service._queue_on_worker(lambda: None))
+                else:
                     service.close()
 
-        errors = _run_threads(worker)
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            errors = _run_threads(worker)
+        finally:
+            sys.setswitchinterval(old_interval)
         assert errors == []
         service.close()
-        # Every worker ever handed out is now shut down: nothing leaked
-        # into a dict that close() no longer sees.
-        assert all(ex._shutdown for ex in created)
-        assert service._executors == {}
+        # Every queued call ran, and every worker ever created is now
+        # shut down: none leaked past the last close().
+        assert len(futures) == 160
+        assert all(f.result(timeout=30.0) is None for f in futures)
+        assert created and all(ex._shutdown for ex in created)
+        assert service._executor is None
 
 
 class TestSplineWeightCacheThreadSafety:

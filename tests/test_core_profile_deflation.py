@@ -7,7 +7,6 @@ from repro.core.deflation import (
     DeflationConfig,
     first_path_delay,
     ghost_shifts_s,
-    lasso_amplitudes,
     matched_filter_grid,
     signal_floor_rel,
 )
@@ -346,25 +345,50 @@ class TestBatchedPruneAndLasso:
                 assert abs(b.delay_s - s.delay_s) <= 1e-12
                 assert abs(b.amplitude - s.amplitude) <= 1e-9
 
-    def test_lasso_batch_matches_scalar(self, rng):
-        delay_sets = [
-            np.array([20e-9, 60e-9]),
-            np.array([15e-9, 35e-9, 90e-9, 140e-9]),
-            np.array([50e-9]),
-        ]
-        H = np.vstack(
-            [
-                ndft_matrix(FREQS, d) @ (
-                    rng.uniform(0.3, 1.0, len(d))
-                    * np.exp(1j * rng.uniform(-np.pi, np.pi, len(d)))
-                )
-                for d in delay_sets
-            ]
+    @pytest.mark.parametrize(
+        ("iterations", "tolerance", "bound"),
+        [(400, 1e-6, 1e-3), (20_000, 1e-10, 1e-6)],
+        ids=["defaults", "tight"],
+    )
+    def test_lasso_batch_meets_kkt(self, rng, iterations, tolerance, bound):
+        """Each link's fit is a LASSO optimum, certified by its KKT
+        conditions rather than by a second implementation.
+
+        ``x`` minimizes ``½‖h − Ax‖² + α‖x‖₁`` exactly when
+        ``g = Aᴴ(h − Ax)`` equals ``α·x_i/|x_i|`` wherever ``x_i ≠ 0``
+        and ``|g_i| ≤ α`` elsewhere; the worst breach over 40 noisy
+        1–5-atom links, relative to each link's ``α``, stays within the
+        bound.
+        """
+        delay_sets, rows = [], []
+        for _ in range(40):
+            n_atoms = int(rng.integers(1, 6))
+            delays = np.sort(rng.uniform(5e-9, 190e-9, n_atoms))
+            amps = rng.uniform(0.2, 1.0, n_atoms) * np.exp(
+                1j * rng.uniform(-np.pi, np.pi, n_atoms)
+            )
+            noise = rng.normal(size=len(FREQS)) + 1j * rng.normal(size=len(FREQS))
+            delay_sets.append(delays)
+            rows.append(ndft_matrix(FREQS, delays) @ amps + 0.02 * noise)
+        H = np.vstack(rows)
+        fits = lasso_amplitudes_batch(
+            delay_sets, FREQS, H, alpha_rel=0.1,
+            max_iterations=iterations, tolerance_rel=tolerance,
         )
-        batch = lasso_amplitudes_batch(delay_sets, FREQS, H, alpha_rel=0.1)
-        for i, d in enumerate(delay_sets):
-            scalar = lasso_amplitudes(ndft_matrix(FREQS, d), H[i], 0.1)
-            np.testing.assert_allclose(batch[i], scalar, rtol=0, atol=1e-9)
+        worst = 0.0
+        for delays, h, x in zip(delay_sets, H, fits, strict=True):
+            A = ndft_matrix(FREQS, delays)
+            alpha = 0.1 * np.abs(A.conj().T @ h).max()
+            g = A.conj().T @ (h - A @ x)
+            on = x != 0
+            breach = np.concatenate(
+                [
+                    np.abs(g[on] - alpha * x[on] / np.abs(x[on])),
+                    np.maximum(np.abs(g[~on]) - alpha, 0.0),
+                ]
+            )
+            worst = max(worst, float(breach.max()) / alpha)
+        assert worst <= bound
 
     def test_lasso_batch_zero_alpha_falls_back_to_lstsq(self, rng):
         delay_sets = [np.array([20e-9, 60e-9])]
@@ -431,15 +455,13 @@ class TestFirstPathDelay:
 class TestLassoAmplitudes:
     def test_matches_lstsq_when_alpha_zero(self):
         delays = np.array([20e-9, 60e-9])
-        A = ndft_matrix(FREQS, delays)
-        h = A @ np.array([1.0, 0.5 + 0.2j])
-        x = lasso_amplitudes(A, h, alpha_rel=0.0)
+        h = ndft_matrix(FREQS, delays) @ np.array([1.0, 0.5 + 0.2j])
+        (x,) = lasso_amplitudes_batch([delays], FREQS, h[None, :], alpha_rel=0.0)
         assert np.allclose(x, [1.0, 0.5 + 0.2j], atol=1e-8)
 
     def test_l1_shrinks_amplitudes(self):
         delays = np.array([20e-9, 60e-9])
-        A = ndft_matrix(FREQS, delays)
-        h = A @ np.array([1.0, 0.5])
-        x = lasso_amplitudes(A, h, alpha_rel=0.2)
+        h = ndft_matrix(FREQS, delays) @ np.array([1.0, 0.5])
+        (x,) = lasso_amplitudes_batch([delays], FREQS, h[None, :], alpha_rel=0.2)
         assert abs(x[0]) < 1.0
         assert abs(x[1]) < 0.5

@@ -1,4 +1,4 @@
-"""Ranging filters and §8 localization."""
+"""The RMSE helper and §8 localization."""
 
 import math
 
@@ -14,75 +14,11 @@ from repro.core.localization import (
     filter_geometry_consistent_detailed,
     locate_transmitter,
 )
-from repro.core.ranging import RangingFilter, mad_outlier_mask, rmse
+from repro.core.ranging import rmse
 from repro.rf.geometry import Point
 
 
-class TestMadMask:
-    def test_obvious_outlier_flagged(self):
-        vals = np.array([1.0, 1.01, 0.99, 1.02, 5.0])
-        mask = mad_outlier_mask(vals)
-        assert not mask[-1]
-        assert mask[:4].all()
-
-    def test_small_samples_all_inliers(self):
-        assert mad_outlier_mask(np.array([1.0, 99.0])).all()
-
-    def test_constant_values(self):
-        mask = mad_outlier_mask(np.array([2.0, 2.0, 2.0, 2.0]))
-        assert mask.all()
-
-    @settings(max_examples=30)
-    @given(st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=3, max_size=20))
-    def test_median_always_inlier(self, values):
-        vals = np.array(values)
-        mask = mad_outlier_mask(vals)
-        median = np.median(vals)
-        closest = np.argmin(np.abs(vals - median))
-        assert mask[closest]
-
-
-class TestRangingFilter:
-    def test_median_of_clean_values(self):
-        f = RangingFilter(window=5)
-        for v in (1.0, 1.1, 0.9, 1.05, 0.95):
-            f.add(v)
-        assert f.value() == pytest.approx(1.0, abs=0.06)
-
-    def test_rejects_outlier(self):
-        f = RangingFilter(window=8)
-        for v in (2.0, 2.02, 1.98, 2.01, 7.5, 1.99, 2.03, 2.0):
-            f.add(v)
-        assert f.value() == pytest.approx(2.0, abs=0.05)
-
-    def test_window_slides(self):
-        f = RangingFilter(window=3)
-        for v in (10.0, 10.0, 10.0, 1.0, 1.0, 1.0):
-            f.add(v)
-        assert f.value() == pytest.approx(1.0)
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            RangingFilter().value()
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValueError):
-            RangingFilter().add(float("nan"))
-
-    def test_predicted_value_tracks_linear_motion(self):
-        """The Theil–Sen predictor removes the median's half-window lag."""
-        f = RangingFilter(window=10)
-        for i in range(10):
-            f.add(1.0 + 0.05 * i)  # target receding 5 cm per tick
-        assert f.predicted_value() == pytest.approx(1.45, abs=0.02)
-        assert f.value() < f.predicted_value()  # plain median lags
-
-    def test_predicted_value_robust_to_outlier(self):
-        f = RangingFilter(window=10)
-        for i in range(10):
-            f.add((1.0 + 0.05 * i) if i != 4 else 9.0)
-        assert f.predicted_value() == pytest.approx(1.45, abs=0.05)
-
+class TestRmse:
     def test_rmse_helper(self):
         assert rmse(np.array([3.0, 4.0])) == pytest.approx(math.sqrt(12.5))
         with pytest.raises(ValueError):

@@ -51,6 +51,22 @@ class TestFromProducts:
         result = est.estimate_from_products(FREQS_5G, products, exponent=4)
         assert result.tof_s == pytest.approx(tau, abs=0.01e-9)
 
+    @pytest.mark.parametrize("exponent", [0, -2, 2.5, True], ids=str)
+    def test_exponent_must_be_a_positive_integer(self, exponent):
+        """A zero exponent divided by zero, a negative one gave an "ok"
+        negative ToF and a fractional one a scaled ToF."""
+        products = steering_vector(FREQS_5G, 40e-9)
+        est = TofEstimator(TofEstimatorConfig(quirk_2g4=False, compute_profile=False))
+        with pytest.raises(ValueError, match=f"positive integer, got {exponent!r}$"):
+            est.estimate_from_products(FREQS_5G, products, exponent=exponent)
+
+    def test_numpy_integer_exponent_accepted(self):
+        tau = 10e-9
+        products = steering_vector(FREQS_5G, 4 * tau)
+        est = TofEstimator(TofEstimatorConfig(quirk_2g4=False, compute_profile=False))
+        result = est.estimate_from_products(FREQS_5G, products, exponent=np.int64(4))
+        assert result.tof_s == pytest.approx(tau, abs=0.01e-9)
+
     def test_multipath_first_peak_not_strongest(self):
         """The direct path is the first, not the biggest, peak (§6)."""
         h = 0.5 * steering_vector(FREQS_5G, 60e-9) + steering_vector(FREQS_5G, 90e-9)

@@ -174,9 +174,9 @@ class TestFollowLoop:
             FollowConfig(settle_time_s=50.0, duration_s=30.0)
 
     def test_legacy_tiny_filter_window_still_accepted(self, rng):
-        """filter_window values down to 1 predate the Kalman tracker
-        (RangingFilter allowed them); they widen to the tracker's
-        minimum instead of crashing construction."""
+        """filter_window values down to 1 predate the Kalman tracker;
+        they widen to the tracker's minimum instead of crashing
+        construction."""
         sim = FollowSimulation(FollowConfig(duration_s=5.0, filter_window=1))
         assert sim.tracker_config.gate_window == 3
         result = sim.run(rng)

@@ -5,11 +5,7 @@ import pytest
 
 from repro.experiments.metrics import Summary, cdf, median, percentile, summarize
 from repro.experiments.report import cdf_sketch, format_table, summary_row
-from repro.experiments.testbed import (
-    MAX_PAIR_DISTANCE_M,
-    Testbed,
-    office_testbed,
-)
+from repro.experiments.testbed import MAX_PAIR_DISTANCE_M, office_testbed
 
 
 class TestTestbed:

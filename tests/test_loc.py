@@ -630,7 +630,7 @@ class TestLocalizationService:
         assert asyncio.run(run()).ok
         service.close()
         service.close()  # idempotent
-        assert not service.ranging._executors
+        assert service.ranging._executor is None
         assert asyncio.run(run()).ok  # still usable afterwards
         service.close()
 
@@ -832,6 +832,13 @@ class TestRequestLevelAnchorSets:
             asyncio.run(
                 locate(requests=[request], anchor_indices=(0, 1, 2))
             )
+        for bad in (1.7, True):
+            with pytest.raises(
+                ValueError, match=f"client 'v': anchor index {bad!r} is not an integer"
+            ):
+                asyncio.run(
+                    locate(requests=[request] * 3, anchor_indices=[0, bad, 2])
+                )
 
 
 class TestPositionTrackerBankEviction:

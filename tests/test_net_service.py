@@ -254,6 +254,24 @@ class TestRangingService:
         assert out[0].n_failed == 1
 
 
+    def test_bad_exponent_fails_alone_with_a_named_error(self):
+        """An exponent that is not a positive integer is its request's
+        own error: the exponent is part of the plan key, so that request
+        solves alone, and its submit-mate gets its alone ToF."""
+        service = RangingService(FAST_CONFIG)
+        h = steering_vector(FREQS_5G, 40e-9)
+        good = RangingRequest("good", FREQS_5G, h)
+        responses = service.submit(
+            [good, RangingRequest("bad", FREQS_5G, h, exponent=0)]
+        )
+        (alone,) = service.submit([good])
+        assert [r.link_id for r in responses] == ["good", "bad"]
+        assert responses[0].ok
+        assert responses[0].estimate.tof_s == alone.estimate.tof_s
+        assert not responses[1].ok
+        assert responses[1].error == "exponent must be a positive integer, got 0"
+
+
 class TestUnsolvableScreen:
     """Links the engine names as unsolvable are answered with its
     reasons, and the rest are solved in one more batched call."""

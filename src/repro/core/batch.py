@@ -30,7 +30,9 @@ default) runs the batched greedy deflation kernel
 filtering as one GEMM over the stacked residuals, a lockstep
 golden-section polish with per-link freezing — followed by the batched
 ghost-prune/first-path application and, when diagnostic profiles are
-requested, one batched L1 inversion for all links.
+requested, one batched L1 inversion over the rows that are their
+link's primary band group, the one :attr:`TofEstimate.profile`
+returns.
 """
 
 from __future__ import annotations
@@ -61,8 +63,9 @@ from repro.core.tof import (
     TofEstimate,
     TofEstimator,
     TofEstimatorConfig,
+    primary_index,
 )
-from repro.core.typing import ComplexCSI, ComplexCSIStack, FrequencyVector
+from repro.core.typing import BoolMask, ComplexCSI, ComplexCSIStack, FrequencyVector
 from repro.wifi.csi import CsiSweep
 
 
@@ -210,9 +213,10 @@ class BatchTofEngine:
         """ToF for ``N`` links from their CSI sweeps.
 
         Per link, the coarse slope gate and per-group product averaging;
-        then all (link, band group) inversions that share a frequency
-        set are solved in one batched run, and each link's group
-        estimates are fused and calibrated.
+        then all (link, band group) rows that share a frequency set are
+        solved in one batched run, and each link's group estimates are
+        fused and calibrated.  The hybrid method solves the L1 profile
+        only for each link's primary group.
         :meth:`~repro.core.tof.TofEstimator.estimate_many` is the
         one-link call.
 
@@ -286,9 +290,15 @@ class BatchTofEngine:
             # Shard the (link, group) jobs by frequency set so each shard
             # shares one cached operator and one batched inversion.
             shards: dict[tuple[str, bytes], list[tuple[int, int]]] = {}
+            primary: list[int] = []
             for i, jobs in enumerate(link_jobs):
                 for j, (name, freqs, _, _, _) in enumerate(jobs):
                     shards.setdefault((name, freqs.tobytes()), []).append((i, j))
+                primary.append(
+                    primary_index(
+                        [float(freqs.max() - freqs.min()) for _, freqs, *_ in jobs]
+                    )
+                )
 
             group_results: dict[tuple[int, int], GroupEstimate] = {}
             for (name, _), members in shards.items():
@@ -297,8 +307,9 @@ class BatchTofEngine:
                 exponent = link_jobs[first_i][first_j][3]
                 stacked = np.vstack([link_jobs[i][j][2] for i, j in members])
                 gates = [link_jobs[i][j][4] for i, j in members]
+                is_primary = np.array([j == primary[i] for i, j in members])
                 groups = self._estimate_group_stack(
-                    name, freqs, stacked, exponent, gates, iterations
+                    name, freqs, stacked, exponent, gates, iterations, is_primary
                 )
                 for (i, j), group in zip(members, groups, strict=True):
                     group_results[(i, j)] = group
@@ -351,8 +362,9 @@ class BatchTofEngine:
     def _record_fista(self, iterations: list[int]) -> None:
         """Fold one call's FISTA iteration counts into ``engine.*``.
 
-        ``iterations`` holds one entry per (link, band-group) profile
-        inversion the call ran.
+        ``iterations`` holds one entry per L1 profile inversion the call
+        ran: every (link, band group) row under ista, each link's primary
+        group under hybrid.
         """
         method = self.config.method
         for n_iterations in iterations:
@@ -377,21 +389,25 @@ class BatchTofEngine:
         exponent: int,
         gates: Sequence[float | None],
         iterations: list[int],
+        is_primary: BoolMask | None = None,
     ) -> list[GroupEstimate]:
         """One band group for every link at once.
 
         The ista method runs one batched Algorithm 1 inversion over the
         whole stack, then applies the estimator's peak/gate/refine logic
         per link.  The hybrid method runs the batched deflation kernel over
-        the stack (:meth:`_hybrid_group_stack`).  Each profile inversion
-        appends its per-link FISTA iteration counts to ``iterations``.
+        the stack (:meth:`_hybrid_group_stack`), and solves the L1 profile
+        of the rows ``is_primary`` marks, those that are their link's
+        primary group (every row when omitted, as in a products call:
+        one group per link).  Each profile inversion appends its
+        per-link FISTA iteration counts to ``iterations``.
         """
         est = self._estimator
         cfg = self.config
         n_links = stacked.shape[0]
         if cfg.method == "hybrid":
             return self._hybrid_group_stack(
-                name, freqs, stacked, exponent, gates, iterations
+                name, freqs, stacked, exponent, gates, iterations, is_primary
             )
         coarse_mask = est._coarse_mask(freqs)
         coarse_freqs = freqs[coarse_mask]
@@ -435,6 +451,7 @@ class BatchTofEngine:
         exponent: int,
         gates: Sequence[float | None],
         iterations: list[int],
+        is_primary: BoolMask | None = None,
     ) -> list[GroupEstimate]:
         """The hybrid (deflation) method over the whole stack.
 
@@ -451,8 +468,11 @@ class BatchTofEngine:
         Stage by stage: batched greedy extraction on the coarse band
         set, batched ghost pruning with the per-link slope targets, the
         full-aperture refit when the coarse set is partial, the
-        first-peak rule, and — when diagnostic profiles are requested —
-        one batched Algorithm 1 inversion for all links.
+        first-peak rule, and the diagnostic profiles.  When they are
+        requested, one batched Algorithm 1 inversion solves the rows
+        ``is_primary`` marks (every row when omitted), the profiles
+        :attr:`TofEstimate.profile` returns; every other row's profile is
+        rasterized from its paths.
         """
         est = self._estimator
         cfg = self.config
@@ -513,27 +533,30 @@ class BatchTofEngine:
             )
 
         with self._kernel_span("profile", n_links):
-            if cfg.compute_profile:
+            if is_primary is None:
+                is_primary = np.ones(n_links, dtype=bool)
+            rows = np.flatnonzero(is_primary & cfg.compute_profile)
+            solved: dict[int, MultipathProfile] = {}
+            if rows.size:
                 op = get_grid_operator(coarse_freqs, window, cfg.grid_step_s)
-                counts = np.zeros(n_links, dtype=np.int64)
+                counts = np.zeros(rows.size, dtype=np.int64)
                 solutions = invert_ndft_batch(
-                    coarse_stack, coarse_freqs, op.taus_s, cfg.sparse,
+                    coarse_stack[rows], coarse_freqs, op.taus_s, cfg.sparse,
                     operator=op, iterations_out=counts,
                 )
                 iterations.extend(int(v) for v in counts)
-                profiles = [
-                    MultipathProfile(
+                solved = {
+                    int(i): MultipathProfile(
                         op.taus_s,
-                        solutions[i],
+                        solution,
                         dominance_threshold_rel=cfg.peak_threshold_rel,
                     )
-                    for i in range(n_links)
-                ]
-            else:
-                profiles = [
-                    est._make_profile(window, paths_per_link[i])
-                    for i in range(n_links)
-                ]
+                    for i, solution in zip(rows, solutions, strict=True)
+                }
+            profiles = [
+                solved[i] if i in solved else est._make_profile(window, paths)
+                for i, paths in enumerate(paths_per_link)
+            ]
         span = float(freqs.max() - freqs.min())
         return [
             GroupEstimate(

@@ -72,6 +72,7 @@ from repro.core.typing import (
     FloatVector,
     FrequencyVector,
 )
+from repro.obs import REGISTRY
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -176,7 +177,7 @@ def extract_paths_batch(
     # a fallback: the single best-matching atom of the raw channel, so
     # callers always see at least one path.
     fallback = np.flatnonzero(
-        (total_power > 0.0) & np.array([not d for d in delays])
+        (total_power > 0.0) & np.array([not d for d in delays], dtype=bool)
     )
     if fallback.size:
         corr = np.abs(Fh @ H[fallback].T)
@@ -397,7 +398,9 @@ def lasso_amplitudes_batch(
     padding never perturbs the live coefficients — and every link
     keeps its own ``α``, its own step size and its own stop test; a
     converged link freezes at that iterate while the rest keep
-    iterating, so a link's fit does not depend on its stack.
+    iterating, so a link's fit does not depend on its stack.  Links
+    still iterating at ``max_iterations`` keep their last iterate and
+    are added to ``engine.lasso_cap_hits_total``.
     """
     n = len(delay_sets)
     ch = np.asarray(channels, dtype=complex)
@@ -469,6 +472,9 @@ def lasso_amplitudes_batch(
             thr = thr[keep]
             gam = gam[keep]
     if active.size:
+        # Still iterating when the cap ended the loop: counted, like
+        # the profile solver's engine.fista_cap_hits_total.
+        REGISTRY.inc("engine.lasso_cap_hits_total", active.size)
         out[active] = X
         out_done[active] = True
     for i in np.flatnonzero(out_done):

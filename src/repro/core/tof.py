@@ -53,10 +53,12 @@ class TofEstimatorConfig:
             strongest.
         method: ``"hybrid"`` (default) extracts the time-of-flight by
             greedy off-grid deflation — immune to the grid/pseudo-alias
-            pathologies of on-grid L1 on stitched apertures — while the
-            L1 profile is still computed for diagnostics and figures.
-            ``"ista"`` takes the first peak straight from the Algorithm 1
-            profile plus local refinement (the paper-literal reading).
+            pathologies of on-grid L1 on stitched apertures — and solves
+            the L1 profile for diagnostics and figures only for each
+            link's primary group, the one :attr:`TofEstimate.profile`
+            returns.  ``"ista"`` takes the first peak straight from the
+            Algorithm 1 profile of every group plus local refinement
+            (the paper-literal reading).
         deflation: Settings of the greedy extractor (hybrid method).
         first_peak_amplitude_rel: Amplitude validation for the first-peak
             rule — leading atoms weaker than this fraction of the
@@ -67,10 +69,13 @@ class TofEstimatorConfig:
             true 2τ by a multipath-weighted bias, never early, so the
             margin only needs to cover that bias plus averaging noise.
             Gating requires a calibration that recorded the coarse bias.
-        compute_profile: Skip the (cost-dominating) L1 inversion when
-            False; the reported profile is then rasterized from the
-            extracted paths.  Experiment drivers that only need ToF and
-            run thousands of estimates set this to False.
+        compute_profile: Hybrid method only: skip the (cost-dominating)
+            L1 inversion of each link's primary group when False; that
+            group's profile is then rasterized from its extracted paths,
+            as every other group's always is.  Experiment drivers that
+            only need ToF and run thousands of estimates set this to
+            False.  The ista method always solves every group's profile,
+            because its ToF reads it.
         refine: Enable off-grid first-peak refinement (ista method).
         quirk_2g4: The hardware reports 2.4 GHz phase mod π/2 (Intel
             5300); route those bands through the 4th-power workaround.
@@ -117,6 +122,17 @@ class TofEstimatorConfig:
             )
 
 
+def primary_index(spans_hz: Sequence[float]) -> int:
+    """Which of a link's band groups is its primary: the widest span,
+    the first on ties.
+
+    Fusion trusts the primary group most, :attr:`TofEstimate.profile`
+    returns its profile, and the hybrid engine solves the L1 profile
+    for it alone.
+    """
+    return max(range(len(spans_hz)), key=spans_hz.__getitem__)
+
+
 @dataclass(frozen=True)
 class GroupEstimate:
     """One band-group's contribution to the fused ToF.
@@ -124,6 +140,12 @@ class GroupEstimate:
     ``paths`` holds the hybrid method's extracted atoms after ghost
     pruning and the full-aperture refit, the candidates its first-path
     rule chose from; the ista method leaves it empty.
+
+    ``profile`` is the group's Algorithm 1 (L1) profile under the ista
+    method.  Under the hybrid method only the link's primary group
+    (:func:`primary_index`) gets the L1 profile, and only with
+    ``compute_profile``; every other group's profile is rasterized from
+    its ``paths``.
     """
 
     name: str
@@ -161,17 +183,21 @@ class TofEstimate:
     def profile(self) -> MultipathProfile:
         """The primary (widest-span) group's multipath profile.
 
-        Note the profile's delay axis is ``exponent × τ`` (2τ for the
+        It is the L1 profile when the estimator solves one (the ista
+        method, or the hybrid method with ``compute_profile``), and a
+        raster of the group's extracted paths otherwise.  Note the
+        profile's delay axis is ``exponent × τ`` (2τ for the
         reciprocity square, 8τ for the quirk workaround).
         """
-        primary = max(self.groups, key=lambda g: g.span_hz)
-        return primary.profile
+        return self._primary().profile
 
     @property
     def profile_exponent(self) -> int:
         """Delay-axis scale of :attr:`profile`."""
-        primary = max(self.groups, key=lambda g: g.span_hz)
-        return primary.exponent
+        return self._primary().exponent
+
+    def _primary(self) -> GroupEstimate:
+        return self.groups[primary_index([g.span_hz for g in self.groups])]
 
 
 class TofEstimator:
@@ -398,7 +424,7 @@ class TofEstimator:
 
     def _fuse(self, groups: list[GroupEstimate]) -> float:
         """Span-weighted fusion with outlier rejection of narrow groups."""
-        primary = max(groups, key=lambda g: g.span_hz)
+        primary = groups[primary_index([g.span_hz for g in groups])]
         kept = [primary]
         for g in groups:
             if g is primary:

@@ -41,6 +41,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import math
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -151,6 +152,9 @@ class _PendingSolve:
     # span parents under its group's first client, stitching the solve
     # into that request's trace across the worker-thread hop.
     ctx: SpanContext | None = None
+    # When the client parked; its queue wait ends when its group's
+    # solve starts on the solve worker.
+    parked_perf_s: float = 0.0
 
 
 class LocalizationService:
@@ -474,7 +478,13 @@ class LocalizationService:
         future: asyncio.Future = loop.create_future()
         self._pending.append(
             _PendingSolve(
-                client_id, anchor_xy, distances, hint, future, ctx=trace.current()
+                client_id,
+                anchor_xy,
+                distances,
+                hint,
+                future,
+                ctx=trace.current(),
+                parked_perf_s=time.perf_counter(),
             )
         )
         self._solve_loop = loop
@@ -566,7 +576,21 @@ class LocalizationService:
 
         The solve span parents under the group's first client's locate
         span explicitly: contextvars do not cross ``run_in_executor``.
+        Each client's queue wait, from parking to this solve's start,
+        becomes a ``loc.queue_wait_s`` observation and a
+        ``loc.queue_wait`` span under that client's locate span, so a
+        backlog on the worker shows in it.
         """
+        start = time.perf_counter()
+        for p in group:
+            REGISTRY.observe("loc.queue_wait_s", start - p.parked_perf_s)
+            trace.record_span(
+                "loc.queue_wait",
+                start_perf_s=p.parked_perf_s,
+                end_perf_s=start,
+                parent=p.ctx,
+                client=p.client_id,
+            )
         batched = True
         with timed_span(
             "loc.solve",

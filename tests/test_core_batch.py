@@ -272,6 +272,23 @@ class TestBatchEngineAgreement:
         with pytest.raises(ValueError):
             engine.estimate_products_batch(FREQS_5G, np.ones((2, 5)))
 
+    @pytest.mark.parametrize("method", ["ista", "hybrid"])
+    @pytest.mark.parametrize("compute_profile", [True, False])
+    @pytest.mark.parametrize(
+        "plan", [US_BAND_PLAN.subset_5g(), US_BAND_PLAN], ids=["24", "35"]
+    )
+    def test_empty_products_batch_returns_empty(
+        self, method, compute_profile, plan
+    ):
+        """No links, no estimates: the same as an empty sweeps call."""
+        engine = BatchTofEngine(
+            TofEstimatorConfig(method=method, compute_profile=compute_profile)
+        )
+        freqs = plan.center_frequencies_hz
+        empty = np.zeros((0, len(freqs)), dtype=complex)
+        assert engine.estimate_products_batch(freqs, empty) == []
+        assert engine.estimate_sweeps_batch([]) == []
+
     def test_ista_matches_seed_reference(self):
         """64 links at the default ista settings: the engine stays within
         1e-9 s of the seed reference below and within 1e-12 s of the
@@ -652,6 +669,26 @@ def non_finite_sweep(rng, plan):
     return sweep
 
 
+# Both band groups of the Intel 5300 quirk: 6 bands at 2.4 GHz, 12 at 5.
+MIXED_PLAN = US_BAND_PLAN.decimate(2)
+
+
+@pytest.fixture
+def l1_solves(monkeypatch):
+    """Every ``invert_ndft_batch`` call the engine makes, as
+    ``(frequencies, returned profiles)``."""
+    calls = []
+    solve = batch_module.invert_ndft_batch
+
+    def counting(channels, frequencies_hz, *args, **kwargs):
+        solutions = solve(channels, frequencies_hz, *args, **kwargs)
+        calls.append((np.asarray(frequencies_hz), solutions))
+        return solutions
+
+    monkeypatch.setattr(batch_module, "invert_ndft_batch", counting)
+    return calls
+
+
 class TestSweepsBatch:
     def test_matches_estimate_many(self, rng, small_plan, fast_config):
         sweeps_per_link = [
@@ -705,6 +742,62 @@ class TestSweepsBatch:
         with pytest.raises(UnsolvableLinks, match=named) as caught:
             engine.estimate_sweeps_batch([[good], [bad_sweep(rng, small_plan)]])
         assert list(caught.value.reasons) == [1]
+
+    def test_hybrid_solves_the_l1_profile_of_primary_groups_only(
+        self, rng, l1_solves
+    ):
+        """Under the default (quirk) config, only each link's 5 GHz
+        group, the one ``TofEstimate.profile`` returns, gets an L1
+        solve; the 2.4 GHz group's profile is a raster of its paths on
+        the grid its L1 solve would use, and no ToF moves."""
+        config = TofEstimatorConfig()
+        sweeps_per_link = [
+            [intel_link(rng, MIXED_PLAN, 2.0 + i).sweep(2)] for i in range(2)
+        ]
+        got = BatchTofEngine(config).estimate_sweeps_batch(sweeps_per_link)
+
+        ((l1_freqs, solutions),) = l1_solves
+        assert len(solutions) == 2
+        np.testing.assert_array_equal(
+            l1_freqs, MIXED_PLAN.subset_5g().center_frequencies_hz
+        )
+        low_freqs = MIXED_PLAN.subset_2g4().center_frequencies_hz
+        window = capped_window_s(low_freqs, config.max_profile_delay_s)
+        low_grid = get_grid_operator(low_freqs, window, config.grid_step_s).taus_s
+        for estimate, solution in zip(got, solutions):
+            assert [g.name for g in estimate.groups] == ["5g", "2g4"]
+            np.testing.assert_array_equal(estimate.profile.amplitudes, solution)
+            low = estimate.groups[1]
+            np.testing.assert_array_equal(low.profile.taus_s, low_grid)
+            assert np.count_nonzero(low.profile.amplitudes) <= len(low.paths)
+
+        unprofiled = BatchTofEngine(
+            TofEstimatorConfig(compute_profile=False)
+        ).estimate_sweeps_batch(sweeps_per_link)
+        assert [e.tof_s for e in got] == [e.tof_s for e in unprofiled]
+        assert [[g.tof_s for g in e.groups] for e in got] == [
+            [g.tof_s for g in e.groups] for e in unprofiled
+        ]
+
+    def test_a_lone_2g4_group_is_primary(self, rng, l1_solves):
+        """A link whose sweep reaches only 2.4 GHz bands still gets the
+        L1 profile of its one group."""
+        plan = US_BAND_PLAN.subset_2g4()
+        (estimate,) = BatchTofEngine(TofEstimatorConfig()).estimate_sweeps_batch(
+            [[intel_link(rng, plan).sweep(2)]]
+        )
+        ((l1_freqs, (solution,)),) = l1_solves
+        np.testing.assert_array_equal(l1_freqs, plan.center_frequencies_hz)
+        assert [g.name for g in estimate.groups] == ["2g4"]
+        np.testing.assert_array_equal(estimate.profile.amplitudes, solution)
+
+    def test_ista_solves_every_group(self, rng, l1_solves):
+        """The ista method's ToF reads every group's profile, so it
+        solves all four (link, group) rows."""
+        BatchTofEngine(TofEstimatorConfig(method="ista")).estimate_sweeps_batch(
+            [[intel_link(rng, MIXED_PLAN, 2.0 + i).sweep(2)] for i in range(2)]
+        )
+        assert sorted(len(solutions) for _, solutions in l1_solves) == [2, 2]
 
     def test_one_link_api_names_dead_sweep(self, rng, small_plan, fast_config):
         with pytest.raises(

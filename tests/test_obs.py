@@ -18,6 +18,7 @@ import pytest
 
 from repro.core.batch import BatchTofEngine
 from repro.core.deflation import DeflationConfig
+from repro.core.deflation_batch import lasso_amplitudes_batch
 from repro.core.ndft import steering_vector
 from repro.core.sparse import SparseSolverConfig
 from repro.core.tof import TofEstimatorConfig
@@ -36,8 +37,13 @@ from repro.obs import (
 )
 from repro.obs.cli import main as obs_main
 from repro.obs.cli import summarize_spans
+from repro.rf.constants import SPEED_OF_LIGHT
+from repro.rf.environment import free_space
+from repro.rf.geometry import Point
 from repro.stream import StreamConfig, StreamingRangingService
 from repro.wifi.bands import US_BAND_PLAN
+from repro.wifi.hardware import INTEL_5300
+from repro.wifi.radio import SimulatedLink
 
 FREQS = US_BAND_PLAN.subset_5g().center_frequencies_hz
 SMALL = US_BAND_PLAN.subset_5g().decimate(2).center_frequencies_hz
@@ -58,6 +64,19 @@ def one_link(rng, freqs, tau=30e-9):
     return h + 0.01 * (
         rng.normal(size=len(freqs)) + 1j * rng.normal(size=len(freqs))
     )
+
+
+def intel_sweep(rng, distance_m):
+    """A free-space Intel 5300 sweep over both band groups (6 + 12 bands)."""
+    return SimulatedLink(
+        environment=free_space(),
+        tx_position=Point(0.0, 0.0),
+        rx_position=Point(distance_m, 0.0),
+        tx_state=INTEL_5300.sample_device_state(rng),
+        rx_state=INTEL_5300.sample_device_state(rng),
+        band_plan=US_BAND_PLAN.decimate(2),
+        rng=rng,
+    ).sweep(2)
 
 
 @pytest.fixture(autouse=True)
@@ -343,6 +362,23 @@ class TestPerCallTelemetry:
         assert iteration_counts() == {"ista": 4, "hybrid": 2}
         BatchTofEngine(FAST_CONFIG).estimate_products_batch(FREQS, links)
         assert iteration_counts() == {"ista": 4, "hybrid": 2}
+        # Sweeps carry two band groups per link; the hybrid path solves
+        # the profile of each link's primary group only.
+        sweeps = [[intel_sweep(rng, 2.0 + i)] for i in range(2)]
+        BatchTofEngine(TofEstimatorConfig()).estimate_sweeps_batch(sweeps)
+        assert iteration_counts() == {"ista": 4, "hybrid": 4}
+
+    def test_lasso_counts_cap_hits(self):
+        """Amplitude fits still iterating at ``max_iterations`` are
+        counted; a clean two-atom link converges, leaving the counter
+        absent, and a zero row (its least-squares fit) never counts."""
+        delays = np.array([40e-9, 75e-9])
+        clean = steering_vector(FREQS, 40e-9) + 0.5 * steering_vector(FREQS, 75e-9)
+        lasso_amplitudes_batch([delays], FREQS, clean[None, :], 0.1)
+        assert "engine.lasso_cap_hits_total" not in REGISTRY.snapshot()
+        channels = np.vstack([clean, 0.5j * clean, np.zeros(len(FREQS))])
+        lasso_amplitudes_batch([delays] * 3, FREQS, channels, 0.1, max_iterations=3)
+        assert REGISTRY.value("engine.lasso_cap_hits_total") == 2.0
 
     def test_engine_counts_deflation_budget_hits(self, rng):
         """Extractions that end with ``max_paths`` atoms are counted.
@@ -501,9 +537,53 @@ class TestFlushPathTracing:
         assert snap["stats"]["n_requests"] == 3
         assert snap["n_pending"] == 0
 
-    def test_loc_report_nests_the_serving_column(self, make_loc_service):
-        from repro.rf.geometry import Point
+    def test_loc_queue_wait_per_client(self, rng, make_loc_service):
+        """One tick of N clients: N ``loc.queue_wait_s`` observations,
+        each ≥ 0, and each client's ``loc.queue_wait`` span is a child of
+        its own locate span."""
+        TRACER.configure(enabled=True)
+        anchors = [Point(0.0, 0.0), Point(10.0, 0.0), Point(10.0, 8.0), Point(0.0, 8.0)]
+        service = make_loc_service(anchors, FAST_CONFIG)
+        positions = [Point(2.0 + i, 3.0 + 0.5 * i) for i in range(3)]
 
+        def requests(cid, position):
+            return [
+                RangingRequest(
+                    f"{cid}:{k}",
+                    FREQS,
+                    one_link(
+                        rng, FREQS, anchor.distance_to(position) / SPEED_OF_LIGHT
+                    ),
+                )
+                for k, anchor in enumerate(anchors)
+            ]
+
+        async def run():
+            return await asyncio.gather(
+                *(
+                    service.locate(f"c{i}", requests(f"c{i}", position))
+                    for i, position in enumerate(positions)
+                )
+            )
+
+        assert all(fix.ok for fix in asyncio.run(run()))
+        assert service.stats.n_solves == 1
+        (series,) = REGISTRY.snapshot()["loc.queue_wait_s"]["series"]
+        assert series["count"] == len(positions)
+        spans = TRACER.finished()
+        locates = {
+            s["attrs"]["client"]: s for s in spans if s["name"] == "loc.locate"
+        }
+        waits = [s for s in spans if s["name"] == "loc.queue_wait"]
+        assert sorted(w["attrs"]["client"] for w in waits) == sorted(locates)
+        for wait in waits:
+            assert wait["duration_s"] >= 0.0
+            locate = locates[wait["attrs"]["client"]]
+            assert wait["parent_id"] == locate["span_id"]
+            assert wait["trace_id"] == locate["trace_id"]
+        assert series["sum"] == pytest.approx(sum(w["duration_s"] for w in waits))
+
+    def test_loc_report_nests_the_serving_column(self, make_loc_service):
         service = make_loc_service(
             [Point(0.0, 0.0), Point(10.0, 0.0)], FAST_CONFIG
         )
